@@ -67,7 +67,14 @@ let promoted_sites cfg stats hot_set =
            else None
          end)
 
-let plan_with_stats ?(config = default_config) ~variant stats trace =
+(* The OHDS depends only on (stats, trace, detector config, method), not
+   on the variant: callers planning several variants detect once and
+   pass the list to each [plan_with_stats ~ohds]. *)
+let detect ?(config = default_config) stats trace =
+  stage "hds-detection" (fun () ->
+      Detector.detect_with_stats ~config:config.detector ~method_:config.method_ stats trace)
+
+let plan_with_stats ?(config = default_config) ?ohds ~variant stats trace =
   Span.with_ ~cat:"pipeline"
     ~args:[ ("variant", Plan.variant_name variant) ]
     "pipeline"
@@ -82,11 +89,8 @@ let plan_with_stats ?(config = default_config) ~variant stats trace =
           hot_infos;
         (hot_infos, hot_set))
   in
-  (* HDS detection + reconstitution. *)
-  let ohds =
-    stage "hds-detection" (fun () ->
-        Detector.detect_with_stats ~config:cfg.detector ~method_:cfg.method_ stats trace)
-  in
+  (* HDS detection (unless shared by the caller) + reconstitution. *)
+  let ohds = match ohds with Some o -> o | None -> detect ~config:cfg stats trace in
   let layout = stage "reconstitution" (fun () -> Layout.reconstitute ohds) in
   Log.debug (fun m ->
       m "%s: %d hot objects, %d OHDS, %d RHDS" (Plan.variant_name variant)
@@ -382,6 +386,7 @@ let plan ?config ~variant trace =
 
 let all_variants ?config trace =
   let stats = analyze trace in
+  let ohds = detect ?config stats trace in
   List.map
-    (fun v -> (v, plan_with_stats ?config ~variant:v stats trace))
+    (fun v -> (v, plan_with_stats ?config ~ohds ~variant:v stats trace))
     [ Plan.Hot; Plan.Hds; Plan.HdsHot ]

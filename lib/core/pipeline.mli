@@ -63,14 +63,28 @@ val analyze_stream : Prefix_trace.Stream.t -> Prefix_trace.Trace_stats.t
 val plan :
   ?config:config -> variant:Plan.variant -> Prefix_trace.Trace.t -> Plan.t
 
+val detect :
+  ?config:config ->
+  Prefix_trace.Trace_stats.t ->
+  Prefix_trace.Trace.t ->
+  Prefix_hds.Hds.t list
+(** The OHDS of a profile under [config]'s detector settings and method,
+    in an "hds-detection" span.  It does not depend on the variant, so a
+    caller planning several variants (or the HDS policy) detects once
+    and shares the list. *)
+
 val plan_with_stats :
   ?config:config ->
+  ?ohds:Prefix_hds.Hds.t list ->
   variant:Plan.variant ->
   Prefix_trace.Trace_stats.t ->
   Prefix_trace.Trace.t ->
   Plan.t
-(** Like {!plan} but reuses an existing trace analysis. *)
+(** Like {!plan} but reuses an existing trace analysis.  [ohds], when
+    given, must be {!detect}[ ~config stats trace]; the plan is then
+    identical to the one planned without it, minus the detection. *)
 
 val all_variants :
   ?config:config -> Prefix_trace.Trace.t -> (Plan.variant * Plan.t) list
-(** Plans for Hot, Hds and HdsHot sharing one analysis pass. *)
+(** Plans for Hot, Hds and HdsHot sharing one analysis pass and one
+    detection. *)

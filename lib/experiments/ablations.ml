@@ -58,10 +58,13 @@ let counter_sharing () =
   List.iter
     (fun name ->
       let r = Harness.find name in
+      let ohds =
+        Pipeline.detect ~config:Harness.pipeline_config r.profiling_stats r.profiling_trace
+      in
       let plan_with sharing =
         Pipeline.plan_with_stats
           ~config:{ Harness.pipeline_config with counter_sharing = sharing }
-          ~variant:Plan.HdsHot r.profiling_stats r.profiling_trace
+          ~ohds ~variant:Plan.HdsHot r.profiling_stats r.profiling_trace
       in
       let shared = plan_with true and unshared = plan_with false in
       T.add_row t
@@ -78,6 +81,10 @@ let recycling_sweep () =
      waste region space for no benefit. *)
   let r = Harness.find "leela" in
   let costs = Harness.exec_config.costs in
+  (* The headroom only changes recycling, never detection. *)
+  let ohds =
+    Pipeline.detect ~config:Harness.pipeline_config r.profiling_stats r.profiling_trace
+  in
   let t =
     T.create ~headers:[ "headroom"; "slots"; "calls avoided"; "time vs baseline %" ]
   in
@@ -88,7 +95,7 @@ let recycling_sweep () =
           recycle_config = { Harness.pipeline_config.recycle_config with headroom } }
       in
       let plan =
-        Pipeline.plan_with_stats ~config ~variant:Plan.Hot r.profiling_stats
+        Pipeline.plan_with_stats ~config ~ohds ~variant:Plan.Hot r.profiling_stats
           r.profiling_trace
       in
       let outcome =

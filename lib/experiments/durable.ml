@@ -28,7 +28,6 @@ module Stream = Prefix_trace.Stream
 module Packed = Prefix_trace.Packed
 module Trace_stats = Prefix_trace.Trace_stats
 module Pipeline = Prefix_core.Pipeline
-module Plan = Prefix_core.Plan
 module Executor = Prefix_runtime.Executor
 module Policy = Prefix_runtime.Policy
 module Checkpoint = Prefix_runtime.Checkpoint
@@ -318,20 +317,9 @@ let run_benchmark cfg (wl : Workload.t) : Harness.result =
     { Policy.is_hot = Hashtbl.mem long_hot_set; is_hds = Hashtbl.mem long_hds_set }
   in
   let costs = Harness.exec_config.costs in
-  let plan_of variant =
-    Pipeline.plan_with_stats
-      ~config:(Harness.effective_pipeline_config ())
-      ~variant profiling_stats profiling_trace
+  let { Harness.plan_hot; plan_hds; plan_hdshot; hds_plan; halo_plan; block_plan } =
+    Harness.plan_profile profiling_stats profiling_trace
   in
-  let plan_hot = plan_of Plan.Hot in
-  let plan_hds = plan_of Plan.Hds in
-  let plan_hdshot = plan_of Plan.HdsHot in
-  let hds_plan =
-    Prefix_runtime.Hds_policy.plan_of_trace
-      ~detector:Harness.pipeline_config.detector profiling_stats profiling_trace
-  in
-  let halo_plan = Prefix_halo.Halo.plan_of_trace profiling_stats profiling_trace in
-  let block_plan = Prefix_runtime.Block_policy.plan_of_trace profiling_trace in
   let replay name policy plan =
     let o = durable_replay cfg ~mon ~meta bdir ~name ~policy mk_stream in
     { Harness.metrics = o.Executor.metrics; plan }

@@ -28,14 +28,17 @@ let series name =
   let costs = Harness.exec_config.costs in
   List.map
     (fun k ->
-      let trace = wl.generate ~threads:k ~scale:Long ~seed:(Harness.seed + 1) () in
+      let trace =
+        Prefix_trace.Packed.of_trace
+          (wl.generate ~threads:k ~scale:Long ~seed:(Harness.seed + 1) ())
+      in
       let base =
-        Executor.run ~config:Harness.exec_config
+        Executor.run_packed ~config:Harness.exec_config
           ~policy:(fun heap -> Policy.baseline costs heap)
           trace
       in
       let opt =
-        Executor.run ~config:Harness.exec_config
+        Executor.run_packed ~config:Harness.exec_config
           ~policy:(fun heap ->
             Prefix_policy.policy costs heap plan Policy.no_classification)
           trace

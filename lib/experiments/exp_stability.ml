@@ -12,6 +12,7 @@ module Policy = Prefix_runtime.Policy
 module Pipeline = Prefix_core.Pipeline
 module Plan = Prefix_core.Plan
 module Trace_stats = Prefix_trace.Trace_stats
+module Packed = Prefix_trace.Packed
 module Workload = Prefix_workloads.Workload
 
 let title = "Stability: best-PreFix delta across workload seeds (3 seeds)"
@@ -22,22 +23,33 @@ let seeds = [ 7; 1007; 90210 ]
    the most seed-sensitive (random access orders). *)
 let benchmarks = [ "mcf"; "ft"; "health"; "leela"; "analyzer" ]
 
+(* The harness's own run is seed [Harness.seed] at Long scale, so that
+   row is read from its memo; only the other seeds are computed here,
+   planned like the harness (one shared detection, the configured slot
+   mode) and replaying one packed evaluation trace. *)
 let delta_for name seed =
-  let wl = Prefix_workloads.Registry.find name in
-  let prof = wl.generate ~scale:Workload.Profiling ~seed () in
-  let long = wl.generate ~scale:Workload.Long ~seed:(seed + 1) () in
-  let stats = Trace_stats.analyze prof in
-  let costs = Harness.exec_config.costs in
-  let base = Executor.run ~config:Harness.exec_config
-      ~policy:(fun heap -> Policy.baseline costs heap) long in
-  let best =
+  if seed = Harness.seed && Harness.eval_scale () = Workload.Long then begin
+    let r = Harness.find name in
+    Harness.time_delta r (fst (Harness.best_prefix r))
+  end
+  else begin
+    let wl = Prefix_workloads.Registry.find name in
+    let prof = wl.generate ~scale:Workload.Profiling ~seed () in
+    let long = Packed.of_trace (wl.generate ~scale:Workload.Long ~seed:(seed + 1) ()) in
+    let stats = Trace_stats.analyze prof in
+    let config = Harness.effective_pipeline_config () in
+    let ohds = Pipeline.detect ~config stats prof in
+    let costs = Harness.exec_config.costs in
+    let base =
+      Executor.run_packed ~config:Harness.exec_config
+        ~policy:(fun heap -> Policy.baseline costs heap)
+        long
+    in
     List.fold_left
       (fun acc variant ->
-        let plan =
-          Pipeline.plan_with_stats ~config:Harness.pipeline_config ~variant stats prof
-        in
+        let plan = Pipeline.plan_with_stats ~config ~ohds ~variant stats prof in
         let o =
-          Executor.run ~config:Harness.exec_config
+          Executor.run_packed ~config:Harness.exec_config
             ~policy:(fun heap ->
               Prefix_runtime.Prefix_policy.policy costs heap plan
                 Policy.no_classification)
@@ -46,8 +58,7 @@ let delta_for name seed =
         Float.min acc (M.time_pct_change ~baseline:base.metrics o.metrics))
       infinity
       [ Plan.Hot; Plan.Hds; Plan.HdsHot ]
-  in
-  best
+  end
 
 let report () =
   let t =

@@ -63,8 +63,9 @@ let streaming = ref false
 let set_streaming b = streaming := b
 let segment_events : int option ref = ref None
 let set_segment_events n = segment_events := n
-let eval_scale = ref Workload.Long
-let set_eval_scale s = eval_scale := s
+let eval_scale_setting = ref Workload.Long
+let set_eval_scale s = eval_scale_setting := s
+let eval_scale () = !eval_scale_setting
 let stream_container : [ `Generator | `Columnar ] ref = ref `Generator
 let set_stream_container c = stream_container := c
 
@@ -151,6 +152,41 @@ let prefetch_pool () =
 
 let prefetch_spawn f = Prefix_parallel.Pool.submit (prefetch_pool ()) f
 
+(* Every profile-side plan of one benchmark.  The OHDS is detected once
+   (one "hds-detection" span) and shared by the three PreFix variants and
+   the HDS policy; the other planners get spans of their own. *)
+type profile_plans = {
+  plan_hot : Plan.t;
+  plan_hds : Plan.t;
+  plan_hdshot : Plan.t;
+  hds_plan : Hds_policy.plan;
+  halo_plan : Prefix_halo.Halo.plan;
+  block_plan : Block_policy.plan;
+}
+
+let plan_profile profiling_stats profiling_trace =
+  let config = effective_pipeline_config () in
+  let ohds = Pipeline.detect ~config profiling_stats profiling_trace in
+  let plan_of variant =
+    Pipeline.plan_with_stats ~config ~ohds ~variant profiling_stats profiling_trace
+  in
+  let plan_hot = plan_of Plan.Hot in
+  let plan_hds = plan_of Plan.Hds in
+  let plan_hdshot = plan_of Plan.HdsHot in
+  let hds_plan =
+    Span.with_ ~cat:"harness" "hds-policy-plan" (fun () ->
+        Hds_policy.plan_of_ohds profiling_stats ohds)
+  in
+  let halo_plan =
+    Span.with_ ~cat:"harness" "halo-plan" (fun () ->
+        Prefix_halo.Halo.plan_of_trace profiling_stats profiling_trace)
+  in
+  let block_plan =
+    Span.with_ ~cat:"harness" "block-plan" (fun () ->
+        Block_policy.plan_of_trace profiling_trace)
+  in
+  { plan_hot; plan_hds; plan_hdshot; hds_plan; halo_plan; block_plan }
+
 let run_benchmark_spooling (wl : Workload.t) ~spooled_path =
   (* Each benchmark derives all randomness from fixed per-benchmark
      seeds (no RNG state is shared across tasks), so a pooled run is
@@ -158,7 +194,7 @@ let run_benchmark_spooling (wl : Workload.t) ~spooled_path =
   Span.with_ ~cat:"harness" ~args:[ ("benchmark", wl.name) ] ("benchmark:" ^ wl.name)
   @@ fun () ->
   Log.info (fun m -> m "%s: generating traces" wl.name);
-  let eval_scale = !eval_scale in
+  let eval_scale = eval_scale () in
   let profiling_trace, long_source =
     if !streaming then begin
       (* Streamed evaluation: the long run is never materialized.  Each
@@ -250,17 +286,9 @@ let run_benchmark_spooling (wl : Workload.t) ~spooled_path =
   let costs = exec_config.costs in
   (* Profile-side plans. *)
   Log.info (fun m -> m "%s: planning" wl.name);
-  let plan_of variant =
-    Pipeline.plan_with_stats
-      ~config:(effective_pipeline_config ())
-      ~variant profiling_stats profiling_trace
+  let { plan_hot; plan_hds; plan_hdshot; hds_plan; halo_plan; block_plan } =
+    plan_profile profiling_stats profiling_trace
   in
-  let plan_hot = plan_of Plan.Hot in
-  let plan_hds = plan_of Plan.Hds in
-  let plan_hdshot = plan_of Plan.HdsHot in
-  let hds_plan = Hds_policy.plan_of_trace ~detector:pipeline_config.detector profiling_stats profiling_trace in
-  let halo_plan = Prefix_halo.Halo.plan_of_trace profiling_stats profiling_trace in
-  let block_plan = Block_policy.plan_of_trace profiling_trace in
   (* Long-run replays. *)
   let baseline, hds, halo, block, prefix_hot, prefix_hds, prefix_hdshot =
     match long_source with

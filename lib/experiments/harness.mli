@@ -105,6 +105,27 @@ val pipeline_config : Prefix_core.Pipeline.config
 val exec_config : Prefix_runtime.Executor.config
 (** Scaled hierarchy + default costs (see DESIGN.md). *)
 
+type profile_plans = {
+  plan_hot : Plan.t;
+  plan_hds : Plan.t;
+  plan_hdshot : Plan.t;
+  hds_plan : Prefix_runtime.Hds_policy.plan;
+  halo_plan : Prefix_halo.Halo.plan;
+  block_plan : Prefix_runtime.Block_policy.plan;
+}
+
+val plan_profile :
+  Prefix_trace.Trace_stats.t -> Prefix_trace.Trace.t -> profile_plans
+(** Every profile-side plan of one benchmark, as [run_benchmark] builds
+    them: PreFix Hot, Hds and HdsHot under {!effective_pipeline_config},
+    then the HDS, HALO and Block policy plans.  HDS mining runs once (one
+    ["hds-detection"] span) and its OHDS is shared by the three PreFix
+    plans and the HDS plan; the other planners run in ["halo-plan"],
+    ["hds-policy-plan"] and ["block-plan"] spans. *)
+
+val eval_scale : unit -> Prefix_workloads.Workload.scale
+(** The configured {!set_eval_scale}. *)
+
 val best_prefix : result -> policy_run * string
 (** The best-performing PreFix variant (by cycles) and its short label
     ("Hot" / "HDS" / "HDS+Hot"). *)

@@ -27,46 +27,70 @@ let hot_contexts config stats =
 
 (* Affinity: sliding window over the heap-access stream; every pair of hot
    contexts co-occurring within the window gets a tick.  Normalised by the
-   smaller context's access count. *)
+   smaller context's access count.
+
+   Hot contexts are indexed densely, so the window is an int ring buffer
+   and the ticks an H x H int matrix (upper triangle): beyond one table
+   lookup (object -> context index), an access costs array updates
+   only. *)
 let affinity_matrix config stats trace hot_ctxs =
-  let is_hot_ctx = Hashtbl.create 16 in
-  List.iter (fun c -> Hashtbl.replace is_hot_ctx c ()) hot_ctxs;
-  let ctx_of_obj = Hashtbl.create 1024 in
+  let ctxs = Array.of_list hot_ctxs in
+  let h = Array.length ctxs in
+  let index_of_ctx = Hashtbl.create 16 in
+  Array.iteri (fun i c -> Hashtbl.replace index_of_ctx c i) ctxs;
+  let index_of_obj = Hashtbl.create 1024 in
   List.iter
     (fun (o : Trace_stats.obj_info) ->
-      if Hashtbl.mem is_hot_ctx o.ctx then Hashtbl.replace ctx_of_obj o.obj o.ctx)
+      match Hashtbl.find_opt index_of_ctx o.ctx with
+      | Some i -> Hashtbl.replace index_of_obj o.obj i
+      | None -> ())
     (Trace_stats.objects stats);
-  let counts : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
-  let ctx_accesses : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let window = Queue.create () in
-  let bump tbl k = Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)) in
+  let ticks = Array.make (h * h) 0 in
+  let accesses = Array.make h 0 in
+  let cap = max 0 config.affinity_window in
+  let ring = Array.make cap 0 in
+  let len = ref 0 and oldest = ref 0 in
   Trace.iter
     (fun e ->
       match (e : Event.t) with
       | Access { obj; _ } -> (
-        match Hashtbl.find_opt ctx_of_obj obj with
+        match Hashtbl.find_opt index_of_obj obj with
         | None -> ()
-        | Some ctx ->
-          bump ctx_accesses ctx;
-          Queue.iter
-            (fun other ->
-              if other <> ctx then begin
-                let key = (min ctx other, max ctx other) in
-                bump counts key
-              end)
-            window;
-          Queue.push ctx window;
-          if Queue.length window > config.affinity_window then ignore (Queue.pop window))
+        | Some c ->
+          accesses.(c) <- accesses.(c) + 1;
+          for j = 0 to !len - 1 do
+            let slot = !oldest + j in
+            let other = ring.(if slot >= cap then slot - cap else slot) in
+            if other <> c then begin
+              let cell = if c < other then (c * h) + other else (other * h) + c in
+              ticks.(cell) <- ticks.(cell) + 1
+            end
+          done;
+          (* [oldest] stays 0 until the ring first fills. *)
+          if !len < cap then begin
+            ring.(!len) <- c;
+            incr len
+          end
+          else if cap > 0 then begin
+            ring.(!oldest) <- c;
+            oldest := (!oldest + 1) mod cap
+          end)
       | _ -> ())
     trace;
-  let accesses c = Option.value ~default:0 (Hashtbl.find_opt ctx_accesses c) in
-  Hashtbl.fold
-    (fun (a, b) ticks acc ->
-      let denom = min (accesses a) (accesses b) in
-      if denom = 0 then acc
-      else ((a, b), float_of_int ticks /. float_of_int denom) :: acc)
-    counts []
-  |> List.sort (fun (_, x) (_, y) -> compare y x)
+  let pairs = ref [] in
+  for i = 0 to h - 1 do
+    for j = i + 1 to h - 1 do
+      (* A tick implies both contexts were accessed: the denominator is
+         positive. *)
+      let t = ticks.((i * h) + j) in
+      if t > 0 then begin
+        let a = ctxs.(i) and b = ctxs.(j) in
+        let denom = min accesses.(i) accesses.(j) in
+        pairs := ((min a b, max a b), float_of_int t /. float_of_int denom) :: !pairs
+      end
+    done
+  done;
+  List.sort (fun (k1, x) (k2, y) -> match compare y x with 0 -> compare k1 k2 | c -> c) !pairs
 
 (* Greedy union-find grouping over pairs above the affinity threshold. *)
 let group config pairs hot_ctxs =

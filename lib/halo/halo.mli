@@ -48,6 +48,17 @@ val plan_of_trace :
     affinity matrix over them, and group greedily by descending
     affinity. *)
 
+val affinity_matrix :
+  config ->
+  Prefix_trace.Trace_stats.t ->
+  Prefix_trace.Trace.t ->
+  int list ->
+  ((int * int) * float) list
+(** [affinity_matrix config stats trace hot_ctxs]: the normalised
+    affinity of every co-occurring pair [(a, b)] of hot contexts, [a < b],
+    heaviest first (ties by pair).  Exposed for the differential test
+    against the seed's table-based version. *)
+
 val ctx_in_plan : plan -> int -> int option
 (** [ctx_in_plan p ctx] is the group index the signature belongs to,
     if any — the runtime "check against a signature" of Table 1. *)

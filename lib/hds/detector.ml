@@ -189,37 +189,131 @@ let mine_lcs cfg seq tbl =
    have no usable autocorrelation peak, but their adjacent k-grams
    repeat verbatim.  Count every k-gram of distinct objects and promote
    the frequent ones to candidates.  Incidental repeats of unrelated
-   digrams are filtered by the [ngram_min_hits] floor. *)
-let mine_ngrams cfg seq tbl =
-  let n = Array.length seq in
-  let counts : (int list, candidate) Hashtbl.t = Hashtbl.create 4096 in
-  for k = 2 to cfg.ngram_max do
-    for i = 0 to n - k do
-      let gram = Array.to_list (Array.sub seq i k) in
-      let distinct = List.length (List.sort_uniq compare gram) = k in
-      if distinct then begin
-        match Hashtbl.find_opt counts gram with
-        | Some c -> c.hits <- c.hits + 1
-        | None -> Hashtbl.replace counts gram { order = gram; hits = 1 }
-      end
-    done
+   digrams are filtered by the [ngram_min_hits] floor.
+
+   Counting allocates nothing per position: each k has an
+   open-addressing table whose slots hold a gram's first position in
+   [seq] (the gram itself is the slice [seq.(p) .. seq.(p+k-1)]) and its
+   hit count.  Lists are built only for grams that clear the floor. *)
+
+type gram_table = {
+  mutable first : int array;  (** first position of the slot's gram; -1 = empty *)
+  mutable counts : int array;
+  mutable size : int;
+}
+
+let slice_hash seq i k =
+  let h = ref k in
+  for j = i to i + k - 1 do
+    h := (!h lxor seq.(j)) * 0x100000001b3
   done;
+  !h lxor (!h lsr 29)
+
+let slice_equal seq a b k =
+  let j = ref 0 in
+  while !j < k && seq.(a + !j) = seq.(b + !j) do
+    incr j
+  done;
+  !j = k
+
+let all_distinct seq i k =
+  let ok = ref true and a = ref i in
+  while !ok && !a < i + k - 1 do
+    let b = ref (!a + 1) in
+    while !ok && !b < i + k do
+      if seq.(!a) = seq.(!b) then ok := false;
+      incr b
+    done;
+    incr a
+  done;
+  !ok
+
+(* Linear probe for the gram at [i]: its slot, or the empty slot where
+   it belongs. *)
+let probe t seq k i =
+  let mask = Array.length t.first - 1 in
+  let s = ref (slice_hash seq i k land mask) in
+  while t.first.(!s) >= 0 && not (slice_equal seq t.first.(!s) i k) do
+    s := (!s + 1) land mask
+  done;
+  !s
+
+let grow t seq k =
+  let old_first = t.first and old_counts = t.counts in
+  t.first <- Array.make (2 * Array.length old_first) (-1);
+  t.counts <- Array.make (2 * Array.length old_first) 0;
+  Array.iteri
+    (fun s p ->
+      if p >= 0 then begin
+        let s' = probe t seq k p in
+        t.first.(s') <- p;
+        t.counts.(s') <- old_counts.(s)
+      end)
+    old_first
+
+let count_grams seq k =
+  let t = { first = Array.make 1024 (-1); counts = Array.make 1024 0; size = 0 } in
+  for i = 0 to Array.length seq - k do
+    if all_distinct seq i k then begin
+      let s = probe t seq k i in
+      if t.first.(s) >= 0 then t.counts.(s) <- t.counts.(s) + 1
+      else begin
+        t.first.(s) <- i;
+        t.counts.(s) <- 1;
+        t.size <- t.size + 1;
+        if 2 * t.size > Array.length t.first then grow t seq k
+      end
+    end
+  done;
+  t
+
+(* Frequent grams are merged into [tbl] in the order the original miner's
+   [Hashtbl.iter] visited them, because the first permutation of an
+   object set to arrive fixes the candidate's [order].  That miner kept
+   every k in one [Hashtbl.create 4096] keyed by the gram as an
+   [int list]: it iterated buckets [Hashtbl.hash gram land (b - 1)] in
+   ascending order, each bucket newest-first (insertion is at the head
+   and resizing keeps relative order), where [b] starts at 4096 and
+   doubles while the distinct-gram count exceeds [2 b]. *)
+let mine_ngrams cfg seq tbl =
+  let tables = List.init (max 0 (cfg.ngram_max - 1)) (fun j -> (j + 2, count_grams seq (j + 2))) in
+  let fold_grams f acc =
+    List.fold_left
+      (fun acc (k, t) ->
+        let acc = ref acc in
+        Array.iteri (fun s p -> if p >= 0 then acc := f !acc k p t.counts.(s)) t.first;
+        !acc)
+      acc tables
+  in
   (* The floor adapts to the strongest candidate: a stream consulted
      thousands of times (analyzer's index trio) makes coincidental
      neighbours look frequent in absolute terms, while a genuinely
      recurring chain in a short profile may only repeat a handful of
      times. *)
-  let top = Hashtbl.fold (fun _ c acc -> max acc c.hits) counts 0 in
+  let top = fold_grams (fun acc _ _ hits -> max acc hits) 0 in
   let floor = max (max cfg.min_occurrences cfg.ngram_min_hits) (top / 50) in
-  Hashtbl.iter
-    (fun gram c ->
-      if c.hits >= floor then begin
-        match Hashtbl.find_opt tbl (List.sort compare gram) with
-        | Some existing -> existing.hits <- existing.hits + c.hits
-        | None ->
-          Hashtbl.replace tbl (List.sort compare gram) { order = c.order; hits = c.hits }
+  let distinct = List.fold_left (fun acc (_, t) -> acc + t.size) 0 tables in
+  let buckets = ref 4096 in
+  while distinct > 2 * !buckets do
+    buckets := 2 * !buckets
+  done;
+  fold_grams
+    (fun acc k p hits ->
+      if hits < floor then acc
+      else begin
+        let gram = List.init k (fun j -> seq.(p + j)) in
+        (Hashtbl.hash gram land (!buckets - 1), k, p, gram, hits) :: acc
       end)
-    counts
+    []
+  |> List.sort (fun (b1, k1, p1, _, _) (b2, k2, p2, _, _) ->
+         match compare b1 b2 with
+         | 0 -> ( match compare k2 k1 with 0 -> compare p2 p1 | c -> c)
+         | c -> c)
+  |> List.iter (fun (_, _, _, gram, hits) ->
+         let key = List.sort compare gram in
+         match Hashtbl.find_opt tbl key with
+         | Some existing -> existing.hits <- existing.hits + hits
+         | None -> Hashtbl.replace tbl key { order = gram; hits })
 
 let mine_sequitur cfg seq tbl =
   let g = Sequitur.build seq in

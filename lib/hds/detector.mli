@@ -48,6 +48,29 @@ val dominant_periods : ?config:config -> int array -> int list
 (** Candidate repeat periods of a sequence, best first, by sampled
     autocorrelation (exposed for tests). *)
 
+type candidate = { order : int list; mutable hits : int }
+(** A mined stream candidate, keyed in the miners' tables by its sorted
+    member list: [order] is the adjacency order first recorded for that
+    object set, [hits] its occurrence count. *)
+
+val mine_ngrams : config -> int array -> (int list, candidate) Hashtbl.t -> unit
+(** [mine_ngrams config seq tbl] counts every k-gram of distinct objects
+    in [seq] (k = 2 .. [ngram_max]) and merges those reaching the
+    adaptive floor (at least [min_occurrences] and [ngram_min_hits], and
+    at least 1/50 of the most frequent gram's count) into [tbl].  Counting
+    allocates nothing per position (exposed for the differential test).
+
+    {b Candidate-order contract.}  Frequent grams are merged into [tbl]
+    in one fixed order, and when several permutations of one object set
+    are frequent, the first merged sets the candidate's [order] (later
+    ones only add hits).  The order is the one in which the original
+    miner's [Hashtbl.iter] visited its gram table: ascending bucket
+    [Hashtbl.hash gram land (b - 1)], then most recently first seen
+    first, where first-seen runs over k ascending, then position
+    ascending, and [b] starts at 4096 and doubles while the number of
+    distinct grams (all k together) exceeds [2 b].  Changing this order
+    changes stream orders, and with them layouts and reports. *)
+
 val detect :
   ?config:config -> ?method_:method_ -> Prefix_trace.Trace.t -> Hds.t list
 (** OHDS: detected streams in descending order of memory references.

@@ -6,15 +6,17 @@ module Metric = Prefix_obs.Metric
 
 type plan = { interesting_sites : int list }
 
-let plan_of_trace ?detector stats trace =
-  let config = Option.value ~default:Detector.default_config detector in
-  let ohds = Detector.detect_with_stats ~config stats trace in
+let plan_of_ohds stats ohds =
   let sites =
     List.concat_map Hds.objs ohds
     |> List.map (fun o -> (Trace_stats.obj_info stats o).site)
     |> List.sort_uniq compare
   in
   { interesting_sites = sites }
+
+let plan_of_trace ?detector stats trace =
+  let config = Option.value ~default:Detector.default_config detector in
+  plan_of_ohds stats (Detector.detect_with_stats ~config stats trace)
 
 let policy ?(mode = Policy.Strict) ?region_cap (costs : Costs.t) heap plan
     (cls : Policy.classification) =

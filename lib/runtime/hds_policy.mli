@@ -12,11 +12,19 @@
 
 type plan = { interesting_sites : int list }
 
+val plan_of_ohds : Prefix_trace.Trace_stats.t -> Prefix_hds.Hds.t list -> plan
+(** The plan for an already-detected OHDS: the allocation sites of its
+    member objects.  The harness passes the profile's shared detection
+    ({!Prefix_core.Pipeline.detect}), so HDS mining runs once for the
+    three PreFix plans and this one. *)
+
 val plan_of_trace :
   ?detector:Prefix_hds.Detector.config ->
   Prefix_trace.Trace_stats.t ->
   Prefix_trace.Trace.t ->
   plan
+(** Detect with the [Lcs] method (default detector config), then
+    {!plan_of_ohds}. *)
 
 val policy :
   ?mode:Policy.mode ->
