@@ -1,7 +1,7 @@
 type slot = { offset : int; size : int }
 
 type t = {
-  slots : slot list; (* reversed during construction? no — kept forward *)
+  slots : slot list; (* placement order *)
   index : (int, int) Hashtbl.t; (* obj -> slot index *)
   total : int;
 }
@@ -12,16 +12,16 @@ let round_up n = (n + align - 1) / align * align
 
 let assign ~size_of order =
   let index = Hashtbl.create (List.length order) in
-  let slots, total =
+  let slots, _, total =
     List.fold_left
-      (fun (acc, off) obj ->
+      (fun (acc, i, off) obj ->
         if Hashtbl.mem index obj then invalid_arg "Offsets.assign: duplicate object";
         let size = size_of obj in
         if size <= 0 then invalid_arg "Offsets.assign: non-positive size";
         let size = round_up size in
-        Hashtbl.replace index obj (List.length acc);
-        ({ offset = off; size } :: acc, off + size))
-      ([], 0) order
+        Hashtbl.replace index obj i;
+        ({ offset = off; size } :: acc, i + 1, off + size))
+      ([], 0, 0) order
   in
   { slots = List.rev slots; index; total }
 

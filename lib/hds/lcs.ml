@@ -1,25 +1,42 @@
-let table a b =
+(* One flat table per domain, row stride [m + 1], reused across calls
+   (see the interface).  A call takes it out of its slot while in use. *)
+let scratch = Domain.DLS.new_key (fun () -> [||])
+
+let lcs_with_positions (a : int array) (b : int array) =
   let n = Array.length a and m = Array.length b in
-  let dp = Array.make_matrix (n + 1) (m + 1) 0 in
+  let w = m + 1 in
+  let cells = (n + 1) * w in
+  let dp =
+    let buf = Domain.DLS.get scratch in
+    if Array.length buf >= cells then buf else Array.make cells 0
+  in
+  Domain.DLS.set scratch [||];
+  Array.fill dp 0 w 0;
   for i = 1 to n do
+    let ai = a.(i - 1) and row = i * w in
+    let up = row - w in
+    dp.(row) <- 0;
     for j = 1 to m do
-      dp.(i).(j) <-
-        (if a.(i - 1) = b.(j - 1) then dp.(i - 1).(j - 1) + 1
-         else max dp.(i - 1).(j) dp.(i).(j - 1))
+      dp.(row + j) <-
+        (if ai = b.(j - 1) then dp.(up + j - 1) + 1
+         else
+           let x = dp.(up + j) and y = dp.(row + j - 1) in
+           if x >= y then x else y)
     done
   done;
-  dp
-
-let lcs_with_positions a b =
-  let dp = table a b in
   let rec back i j acc =
     if i = 0 || j = 0 then acc
-    else if a.(i - 1) = b.(j - 1) && dp.(i).(j) = dp.(i - 1).(j - 1) + 1 then
-      back (i - 1) (j - 1) ((a.(i - 1), i - 1, j - 1) :: acc)
-    else if dp.(i - 1).(j) >= dp.(i).(j - 1) then back (i - 1) j acc
-    else back i (j - 1) acc
+    else begin
+      let here = (i * w) + j in
+      if a.(i - 1) = b.(j - 1) && dp.(here) = dp.(here - w - 1) + 1 then
+        back (i - 1) (j - 1) ((a.(i - 1), i - 1, j - 1) :: acc)
+      else if dp.(here - w) >= dp.(here - 1) then back (i - 1) j acc
+      else back i (j - 1) acc
+    end
   in
-  back (Array.length a) (Array.length b) []
+  let matches = back n m [] in
+  Domain.DLS.set scratch dp;
+  matches
 
 let lcs a b = Array.of_list (List.map (fun (v, _, _) -> v) (lcs_with_positions a b))
 

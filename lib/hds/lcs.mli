@@ -9,7 +9,20 @@ val lcs : int array -> int array -> int array
     subsequence. *)
 
 val lcs_with_positions : int array -> int array -> (int * int * int) list
-(** The LCS as [(value, index_in_a, index_in_b)] triples, in order. *)
+(** The LCS as [(value, index_in_a, index_in_b)] triples, in order.  The
+    traceback walks back from the end, taking a match when the
+    characters are equal and the diagonal gives the length, else moving
+    up when the cell above is at least the one to the left.
+
+    {b Scratch reuse.}  The DP table is one flat [(n+1)(m+1)] int buffer
+    that is kept and reused by later calls, so mining's many windows do
+    not allocate a fresh table each (a matrix puts every row on the major
+    heap).  The buffer only grows.
+
+    {b Domain safety.}  Each domain has its own buffer ([Domain.DLS]),
+    and a call takes it out of its slot for the duration, so calls on
+    several domains of a pool, or overlapping calls on one domain, never
+    share cells. *)
 
 val length : int array -> int array -> int
 (** Length of the LCS only, in O(nm) time and O(min n m) space. *)

@@ -243,6 +243,30 @@ let test_offsets_extend () =
   Alcotest.(check int) "total slots" 4 (List.length (Offsets.slots o));
   Alcotest.(check int) "region grows" (32 + (3 * 64)) (Offsets.region_bytes o)
 
+(* A large order (scrambled ids, sizes that need rounding) against a
+   reference fold: slot i starts where slot i-1 ends, and every object
+   maps to its own position in the order. *)
+let test_offsets_large_order () =
+  let n = 20_000 in
+  let order = List.init n (fun i -> ((i * 7919) mod n) - 500) in
+  let size_of obj = 1 + (abs obj mod 97) in
+  let o = Offsets.assign ~size_of order in
+  let expected, total =
+    List.fold_left
+      (fun (acc, off) obj ->
+        let size = (size_of obj + 15) / 16 * 16 in
+        ({ Offsets.offset = off; size } :: acc, off + size))
+      ([], 0) order
+  in
+  Alcotest.(check (list (pair int int)))
+    "slots"
+    (List.rev_map (fun (s : Offsets.slot) -> (s.offset, s.size)) expected)
+    (List.map (fun (s : Offsets.slot) -> (s.offset, s.size)) (Offsets.slots o));
+  Alcotest.(check int) "total" total (Offsets.region_bytes o);
+  List.iteri
+    (fun i obj -> Alcotest.(check (option int)) "slot_of_obj" (Some i) (Offsets.slot_of_obj o obj))
+    order
+
 (* ---- Recycle ---- *)
 
 let churn_trace ~live ~total () =
@@ -462,7 +486,9 @@ let suite =
       [ Alcotest.test_case "assign" `Quick test_offsets_assign;
         Alcotest.test_case "duplicate" `Quick test_offsets_duplicate;
         Alcotest.test_case "truncate" `Quick test_offsets_truncate;
-        Alcotest.test_case "extend" `Quick test_offsets_extend ] );
+        Alcotest.test_case "extend" `Quick test_offsets_extend;
+        Alcotest.test_case "20k-object order ≡ reference fold" `Quick
+          test_offsets_large_order ] );
     ( "recycle",
       [ Alcotest.test_case "accepts churn" `Quick test_recycle_accepts_churn;
         Alcotest.test_case "rejects long-lived" `Quick test_recycle_rejects_long_lived;
