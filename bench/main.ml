@@ -758,13 +758,13 @@ let run_checkpoint_bench ~benches ~out =
 
    - per-policy (the PR 8 production path, reproduced faithfully): six
      independent [Executor.run_stream] passes, each decoding the
-     container end to end through the channel reader, with the widened
-     batched-probe fast path disabled ([Executor.probe_widening]) —
-     PR 8's executor probed strictly per event;
+     container end to end through the channel reader;
    - decode-once: a single [Executor.run_stream_many] fan-out over an
      mmap-backed, prefetch-pipelined stream (segment N+1 decodes on a
-     spawned domain while segment N replays through all six sessions),
-     widened probes on.
+     spawned domain while segment N replays through all six sessions).
+
+   Both legs run the same per-event replay loop, so the gap is decode
+   and I/O alone.
 
    The decode-once leg wraps the stream in [Stream.prefetched] only
    when [jobs >= 2] — mirroring the harness gate: on a single
@@ -852,19 +852,11 @@ let run_pipeline_bench ~benches ~scale ~jobs ~out =
             let s = Stream.of_binary_file path in
             if jobs >= 2 then Stream.prefetched s else s
           in
-          let widened on f x =
-            Executor.probe_widening := on;
-            Fun.protect ~finally:(fun () -> Executor.probe_widening := true) (fun () -> f x)
-          in
           let per_policy () =
-            widened false
-              (List.map (fun (_, policy) -> Executor.run_stream ~policy ch_stream))
-              policies
+            List.map (fun (_, policy) -> Executor.run_stream ~policy ch_stream) policies
           in
           let decode_once () =
-            widened true
-              (Executor.run_stream_many ~policies:(List.map snd policies))
-              fan_stream
+            Executor.run_stream_many ~policies:(List.map snd policies) fan_stream
           in
           (* Differential leg (untimed): every streamed outcome must
              match the materialized replay. *)

@@ -4,15 +4,15 @@ type t = {
   assoc : int;
   line_bits : int;
   set_mask : int;
-  tags : int array; (* sets * assoc; -1 = invalid *)
-  stamps : int array; (* LRU timestamps, parallel to tags *)
-  dirty : bool array; (* written since fill, parallel to tags *)
-  mru : int array; (* per set, the way touched by the set's last access *)
-  mutable clock : int;
+  ways : int array;
+      (* sets * assoc; each set's entries in recency order, position 0
+         the MRU.  An entry is [line lsl 1 lor dirty]; -1 = invalid. *)
   mutable accesses : int;
   mutable misses : int;
   mutable writebacks : int;
 }
+
+let invalid = -1
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
@@ -29,11 +29,7 @@ let make ~name ~sets ~assoc ~line_bytes =
     assoc;
     line_bits = log2 line_bytes;
     set_mask = sets - 1;
-    tags = Array.make (sets * assoc) (-1);
-    stamps = Array.make (sets * assoc) 0;
-    dirty = Array.make (sets * assoc) false;
-    mru = Array.make sets 0;
-    clock = 0;
+    ways = Array.make (sets * assoc) invalid;
     accesses = 0;
     misses = 0;
     writebacks = 0 }
@@ -54,84 +50,50 @@ let line_bytes t = 1 lsl t.line_bits
 
 (* [probe] takes [write] as a plain labelled argument so the replay
    fast path pays no option boxing per reference; [access] keeps the
-   original optional-argument API. *)
+   original optional-argument API.  Past the MRU compare, one pass both
+   searches the set and shifts each entry it passes down one position,
+   so a hit at [p] or a miss costs a single loop: the hit line lands at
+   position 0, a miss drops the tail (the LRU line) and installs the
+   new line at 0. *)
 let probe t ~write addr =
   t.accesses <- t.accesses + 1;
-  t.clock <- t.clock + 1;
   let line = addr lsr t.line_bits in
-  let set = line land t.set_mask in
-  let tag = line in
-  let base = set * t.assoc in
-  (* MRU-first: the set's last-touched way hits for the common
-     same-line streak without scanning the other ways.  A hit never
-     changes replacement state beyond its own stamp, so counters and
-     evictions are exactly those of the full scan below. *)
-  let m = base + Array.unsafe_get t.mru set in
-  if Array.unsafe_get t.tags m = tag then begin
-    Array.unsafe_set t.stamps m t.clock;
-    if write then Array.unsafe_set t.dirty m true;
+  let base = (line land t.set_mask) * t.assoc in
+  let ways = t.ways in
+  let e = Array.unsafe_get ways base in
+  if e lsr 1 = line then begin
+    if write then Array.unsafe_set ways base (e lor 1);
     true
   end
   else begin
-    let hit = ref false in
-    let way = ref (-1) in
-    (* Look for the tag; remember the LRU way in case of a miss. *)
-    let lru_way = ref 0 in
-    let lru_stamp = ref max_int in
-    for w = 0 to t.assoc - 1 do
-      let i = base + w in
-      if t.tags.(i) = tag then begin
-        hit := true;
-        way := w
-      end;
-      if t.stamps.(i) < !lru_stamp then begin
-        lru_stamp := t.stamps.(i);
-        lru_way := w
-      end
+    let dirty = Bool.to_int write in
+    let stop = base + t.assoc in
+    (* [prev] is the entry displaced from the position before [q]. *)
+    let prev = ref e in
+    let q = ref (base + 1) in
+    while !q < stop && Array.unsafe_get ways !q lsr 1 <> line do
+      let cur = Array.unsafe_get ways !q in
+      Array.unsafe_set ways !q !prev;
+      prev := cur;
+      incr q
     done;
-    if !hit then begin
-      let i = base + !way in
-      t.stamps.(i) <- t.clock;
-      if write then t.dirty.(i) <- true;
-      t.mru.(set) <- !way;
+    if !q < stop then begin
+      Array.unsafe_set ways base (Array.unsafe_get ways !q lor dirty);
+      Array.unsafe_set ways !q !prev;
       true
     end
     else begin
       t.misses <- t.misses + 1;
-      let i = base + !lru_way in
-      (* Write-back policy: evicting a dirty line costs a memory write. *)
-      if t.tags.(i) >= 0 && t.dirty.(i) then t.writebacks <- t.writebacks + 1;
-      t.tags.(i) <- tag;
-      t.stamps.(i) <- t.clock;
-      t.dirty.(i) <- write;
-      t.mru.(set) <- !lru_way;
+      (* Every position moved down one; [prev] fell off the tail.  It is
+         the LRU line, or an invalid entry while the set fills.
+         Write-back policy: evicting a dirty line costs a memory write. *)
+      if !prev <> invalid && !prev land 1 = 1 then t.writebacks <- t.writebacks + 1;
+      Array.unsafe_set ways base ((line lsl 1) lor dirty);
       false
     end
   end
 
 let access ?(write = false) t addr = probe t ~write addr
-
-let line_bits t = t.line_bits
-
-(* [touch_run t ~write ~n addr] accounts [n] consecutive references to
-   [addr]'s line in one step.  Precondition: the line is resident and
-   is its set's MRU way (any {!probe} of [addr] — MRU hit, scan hit or
-   miss install — establishes exactly that).  Then each of the [n]
-   repeats would take the MRU fast path above: bump two counters, stamp
-   the MRU way, or the dirty bit.  Only the final stamp value and the
-   or-of-writes dirty state are observable afterwards, so one bulk
-   update is exactly equivalent to [n] probes — same counters, same
-   replacement state, all hits. *)
-let touch_run t ~write ~n addr =
-  let line = addr lsr t.line_bits in
-  let set = line land t.set_mask in
-  let i = (set * t.assoc) + Array.unsafe_get t.mru set in
-  if Array.unsafe_get t.tags i <> line then
-    invalid_arg "Cache.touch_run: line is not the set's MRU way";
-  t.accesses <- t.accesses + n;
-  t.clock <- t.clock + n;
-  Array.unsafe_set t.stamps i t.clock;
-  if write then Array.unsafe_set t.dirty i true
 
 let accesses t = t.accesses
 let misses t = t.misses
@@ -147,9 +109,5 @@ let reset_counters t =
   t.writebacks <- 0
 
 let flush t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.stamps 0 (Array.length t.stamps) 0;
-  Array.fill t.dirty 0 (Array.length t.dirty) false;
-  Array.fill t.mru 0 (Array.length t.mru) 0;
-  t.clock <- 0;
+  Array.fill t.ways 0 (Array.length t.ways) invalid;
   reset_counters t

@@ -2,7 +2,28 @@
 
     One structure serves both the data caches and (with block size = page
     size) the TLBs.  Geometry matches the paper's testbed: 32 KB 8-way L1
-    with 64 B lines and a 40 MB 20-way LLC (§3.2). *)
+    with 64 B lines and a 40 MB 20-way LLC (§3.2).
+
+    {b Layout.}  All state is one [int array] of [sets * assoc] entries.
+    Each set's [assoc] entries hold its resident lines in recency order:
+    position 0 is the most recently used, the last position the least.
+    An entry packs a line as [line lsl 1 lor dirty], so the write-back
+    dirty bit is the low bit; [-1] marks an invalid (never filled)
+    entry.  A hit at position [p] moves positions [0 .. p-1] down one
+    and reinstalls the line at 0 (an MRU hit, [p = 0], is one compare
+    and moves nothing).  A miss evicts the last position, counting a
+    writeback if it was dirty, then shifts and installs at 0.
+
+    {b Exactness.}  This is the textbook stamp model made implicit: the
+    stamp model stamps a way with a strictly increasing clock on every
+    touch, leaves invalid ways at stamp 0 and evicts the minimum stamp
+    (lowest index on ties).  Valid stamps are unique, so recency order
+    is a total order matching stamp order, and invalid ways only ever
+    sit at the tail (a fill consumes the tail and shifts the rest).
+    Hence the stamp model's victim — an invalid way while one exists,
+    the oldest line otherwise — is always the tail here, and every
+    hit/miss verdict and writeback count is identical to it.  The test
+    suite keeps the stamp model as the oracle. *)
 
 type t
 
@@ -23,30 +44,12 @@ val line_bytes : t -> int
 val access : ?write:bool -> t -> int -> bool
 (** [access t addr] simulates one reference; [true] = hit.  The line is
     installed (and the LRU way evicted) on a miss.  [write] marks the
-    line dirty (write-back policy; default false).
-
-    The common case — another reference to the set's most recently
-    touched line — is served by an MRU-first probe that checks one way
-    and exits early; only on an MRU mismatch does the full way scan
-    (and, on a miss, LRU eviction) run.  Hit/miss/writeback counts and
-    replacement decisions are identical to the plain scan. *)
+    line dirty (write-back policy; default false). *)
 
 val probe : t -> write:bool -> int -> bool
 (** Exactly {!access} with [write] as a required labelled argument —
     the replay hot loop uses this to avoid boxing an option per
     memory reference. *)
-
-val line_bits : t -> int
-(** log2 of {!line_bytes} — the replay fast path uses it to detect
-    same-line access runs without a division. *)
-
-val touch_run : t -> write:bool -> n:int -> int -> unit
-(** [touch_run t ~write ~n addr] accounts [n] further references to a
-    line that the immediately preceding {!probe} of [addr] made its
-    set's MRU way, in one step: [n] accesses, [n] clock ticks, one
-    stamp, dirty |= [write] — bit-for-bit what [n] MRU-fast-path
-    probes (all hits) would do.  Raises [Invalid_argument] if the MRU
-    way does not hold [addr]'s line (precondition violated). *)
 
 val accesses : t -> int
 val misses : t -> int

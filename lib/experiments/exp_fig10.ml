@@ -7,7 +7,7 @@ module Executor = Prefix_runtime.Executor
 module Policy = Prefix_runtime.Policy
 module Prefix_policy = Prefix_runtime.Prefix_policy
 module Pipeline = Prefix_core.Pipeline
-module Trace_stats = Prefix_trace.Trace_stats
+module Span = Prefix_obs.Span
 module T = Prefix_util.Tablefmt
 module M = Prefix_runtime.Metrics
 
@@ -19,8 +19,11 @@ let series name =
   let wl = Prefix_workloads.Registry.find name in
   (* Profile once, single-threaded (as the paper: traces collected once
      with default thread count). *)
-  let prof = wl.generate ~scale:Profiling ~seed:Harness.seed () in
-  let prof_stats = Trace_stats.analyze prof in
+  let prof =
+    Span.with_ ~cat:"harness" "generate-traces" (fun () ->
+        wl.generate ~scale:Profiling ~seed:Harness.seed ())
+  in
+  let prof_stats = Pipeline.analyze prof in
   let plan =
     Pipeline.plan_with_stats ~config:Harness.pipeline_config ~variant:Prefix_core.Plan.Hot
       prof_stats prof
@@ -28,9 +31,13 @@ let series name =
   let costs = Harness.exec_config.costs in
   List.map
     (fun k ->
+      let long_trace =
+        Span.with_ ~cat:"harness" "generate-traces" (fun () ->
+            wl.generate ~threads:k ~scale:Long ~seed:(Harness.seed + 1) ())
+      in
       let trace =
-        Prefix_trace.Packed.of_trace
-          (wl.generate ~threads:k ~scale:Long ~seed:(Harness.seed + 1) ())
+        Span.with_ ~cat:"harness" "pack-traces" (fun () ->
+            Prefix_trace.Packed.of_trace long_trace)
       in
       let base =
         Executor.run_packed ~config:Harness.exec_config

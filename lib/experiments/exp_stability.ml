@@ -11,9 +11,9 @@ module Executor = Prefix_runtime.Executor
 module Policy = Prefix_runtime.Policy
 module Pipeline = Prefix_core.Pipeline
 module Plan = Prefix_core.Plan
-module Trace_stats = Prefix_trace.Trace_stats
 module Packed = Prefix_trace.Packed
 module Workload = Prefix_workloads.Workload
+module Span = Prefix_obs.Span
 
 let title = "Stability: best-PreFix delta across workload seeds (3 seeds)"
 
@@ -34,9 +34,15 @@ let delta_for name seed =
   end
   else begin
     let wl = Prefix_workloads.Registry.find name in
-    let prof = wl.generate ~scale:Workload.Profiling ~seed () in
-    let long = Packed.of_trace (wl.generate ~scale:Workload.Long ~seed:(seed + 1) ()) in
-    let stats = Trace_stats.analyze prof in
+    let prof, long_trace =
+      Span.with_ ~cat:"harness" "generate-traces" (fun () ->
+          ( wl.generate ~scale:Workload.Profiling ~seed (),
+            wl.generate ~scale:Workload.Long ~seed:(seed + 1) () ))
+    in
+    let long =
+      Span.with_ ~cat:"harness" "pack-traces" (fun () -> Packed.of_trace long_trace)
+    in
+    let stats = Pipeline.analyze prof in
     let config = Harness.effective_pipeline_config () in
     let ohds = Pipeline.detect ~config stats prof in
     let costs = Harness.exec_config.costs in

@@ -207,13 +207,6 @@ let finish_run ~config ~(p : Policy.t) ~lenient ~obs_on ~start_ns ~heap ~mem ~ev
    them) fall back to a Hashtbl so semantics match the boxed path
    exactly. *)
 
-(* Differential/bench knob for the widened batched-probe fast path in
-   access runs.  Outcomes are identical either way (the batch is an
-   accounting-equivalent rewrite of per-event MRU hits); turning it off
-   recovers the strictly per-event probe loop so the pipeline benchmark
-   can time the pre-widening replay as its baseline leg. *)
-let probe_widening = ref true
-
 let not_live = min_int
 
 type otbl = {
@@ -505,90 +498,28 @@ let replay_segment st ~base packed =
   in
   (* Access runs come in two specializations: the common case (no
      attribution, no heatmap) drops both per-event option matches and
-     is nothing but batched cache probes over the memoized thread slot;
-     the diagnostic variant keeps the exact original body.  Probe order
-     is identical in both — and to the boxed path. *)
-  (* Widened batch: after an access's probes, its line is the MRU way
-     of its L1 set and its page the MRU way of its TLB set (any probe
-     outcome establishes that).  The object table cannot change inside
-     an access run (allocs/frees are other tags), so a following event
-     with the same object, same thread and an offset on the same L1
-     line — which, lines being no larger than pages, is also the same
-     page — would deterministically take both MRU fast paths as pure
-     hits.  Whole such streaks are therefore accounted in one
-     {!Cache.touch_run} step per cache instead of per-event probes:
-     same counters, same replacement state, same report.  The batch
-     never crosses the next telemetry tick, so samples still fire at
-     the exact same global indices. *)
+     is nothing but cache probes over the memoized thread slot; the
+     diagnostic variant keeps the exact original body.  Probe order is
+     identical in both — and to the boxed path. *)
   let run_access_fast run_start run_stop =
-    let index = ref run_start in
-    (* Lookahead cursors, hoisted: allocating refs per access head costs
-       more than the batching saves (non-flambda refs are boxed).  The
-       knob is read once per run — it cannot change mid-replay. *)
-    let widen = !probe_widening in
-    let j = ref 0 in
-    let writes = ref false in
-    while !index < run_stop do
-      let idx = !index in
-      let gindex = base + idx in
+    for index = run_start to run_stop - 1 do
+      let gindex = base + index in
       if gindex >= st.ss_next_tick then session_tick st ~gindex;
-      let obj = Array.unsafe_get objs idx in
+      let obj = Array.unsafe_get objs index in
       let addr = ot_addr ot obj in
       if addr = not_live then begin
         if lenient then st.ss_access <- st.ss_access + 1
-        else invalid_arg (Printf.sprintf "Executor: access to unknown object %d" obj);
-        index := idx + 1
+        else invalid_arg (Printf.sprintf "Executor: access to unknown object %d" obj)
       end
       else begin
         st.ss_mem_refs <- st.ss_mem_refs + 1;
-        let offset = Array.unsafe_get fas idx in
-        let write = Array.unsafe_get fbs idx <> 0 in
-        let thread = Array.unsafe_get threads idx in
-        let a = addr + offset in
-        let i = slot_of thread in
-        let l1 = Array.unsafe_get mem.l1s i in
-        let tlb1 = Array.unsafe_get mem.l1_tlbs i in
-        let l1_hit = Cache.probe l1 ~write a in
-        if not l1_hit then ignore (Cache.probe mem.llc ~write a);
-        let tlb1_hit = Cache.probe tlb1 ~write:false a in
-        if not tlb1_hit then
-          ignore (Cache.probe (Array.unsafe_get mem.l2_tlbs i) ~write:false a);
-        let n = idx + 1 in
-        let shift = Cache.line_bits l1 in
-        let line = a lsr shift in
-        (* The batch setup below costs more than a typical access, so it
-           only runs once a two-compare gate (next event touches the
-           same object AND the same line) says a streak is real; on the
-           overwhelmingly common no-streak path the widening adds a few
-           integer ops and no memory traffic beyond two array loads. *)
-        if
-          widen && n < run_stop
-          && Array.unsafe_get objs n = obj
-          && (addr + Array.unsafe_get fas n) lsr shift = line
-        then begin
-          (* [ss_next_tick > gindex] here (the tick above advanced it),
-             so [stop > idx] and the head itself is never re-batched. *)
-          let stop = min run_stop (st.ss_next_tick - base) in
-          j := n;
-          writes := false;
-          while
-            !j < stop
-            && Array.unsafe_get objs !j = obj
-            && Array.unsafe_get threads !j = thread
-            && (addr + Array.unsafe_get fas !j) lsr shift = line
-          do
-            if Array.unsafe_get fbs !j <> 0 then writes := true;
-            incr j
-          done;
-          let k = !j - n in
-          if k > 0 then begin
-            st.ss_mem_refs <- st.ss_mem_refs + k;
-            Cache.touch_run l1 ~write:!writes ~n:k a;
-            Cache.touch_run tlb1 ~write:false ~n:k a
-          end;
-          index := !j
-        end
-        else index := n
+        let write = Array.unsafe_get fbs index <> 0 in
+        let a = addr + Array.unsafe_get fas index in
+        let i = slot_of (Array.unsafe_get threads index) in
+        if not (Cache.probe (Array.unsafe_get mem.l1s i) ~write a) then
+          ignore (Cache.probe mem.llc ~write a);
+        if not (Cache.probe (Array.unsafe_get mem.l1_tlbs i) ~write:false a) then
+          ignore (Cache.probe (Array.unsafe_get mem.l2_tlbs i) ~write:false a)
       end
     done
   in

@@ -130,8 +130,10 @@ let test_time_seconds () =
   Alcotest.(check (float 1e-6)) "3 GHz" 1.0 (Cycles.time_seconds est)
 
 (* In-test reference model: true-LRU set-associative cache with the
-   same counters, no MRU shortcut.  The production [Cache.probe]'s
-   MRU-first early exit must be behaviorally invisible against it. *)
+   same counters, kept as the textbook stamp model — every touch stamps
+   its way with a rising clock and a miss evicts the minimum stamp.
+   The production cache keeps each set in recency order instead; the
+   two must be behaviorally indistinguishable. *)
 module Ref_cache = struct
   type t = {
     sets : int;
@@ -181,25 +183,94 @@ module Ref_cache = struct
       t.dirty.(i) <- write;
       false
     end
+
+  let reset_counters t =
+    t.accesses <- 0;
+    t.misses <- 0;
+    t.writebacks <- 0
+
+  let flush t =
+    Array.fill t.tags 0 (Array.length t.tags) (-1);
+    Array.fill t.stamps 0 (Array.length t.stamps) 0;
+    Array.fill t.dirty 0 (Array.length t.dirty) false;
+    t.clock <- 0;
+    reset_counters t
 end
 
+type cache_op = Probe of int * int * int * bool | Reset | Flush
+
 let prop_mru_matches_reference =
-  (* Random (addr, write) streams with few distinct lines so the same
-     sets get revisited: hit/miss verdicts, counters and eviction
-     decisions must match the plain-scan model access for access. *)
-  QCheck.Test.make ~name:"MRU-first probe ≡ plain LRU scan" ~count:200
-    (QCheck.make
-       QCheck.Gen.(
-         list_size (int_range 0 600) (pair (int_range 0 (24 * 64 - 1)) bool)))
-    (fun stream ->
-      let c = small_cache () in
-      let r = Ref_cache.create ~size_bytes:1024 ~assoc:2 ~line_bytes:64 in
+  (* Geometries: every one replay builds (scaled and paper L1/LLC,
+     both TLB levels), plus random direct-mapped to 8-way caches of
+     1-64 sets.  Addresses concentrate on a few sets with a few more
+     tags than ways, so sets fill, hit at every recency position and
+     evict, with random writes and occasional [reset_counters] /
+     [flush].  Every verdict and every counter must match the stamp
+     model after every operation. *)
+  let replay_geometries =
+    (* (size_bytes, assoc, line_bytes) *)
+    [ (8 * 1024, 8, 64); (32 * 1024, 8, 64);
+      (1024 * 1024, 16, 64); (40 * 1024 * 1024, 20, 64);
+      (16 * 4096, 4, 4096); (64 * 4096, 4, 4096);
+      (96 * 4096, 6, 4096); (1536 * 4096, 6, 4096) ]
+  in
+  let gen =
+    QCheck.Gen.(
+      let* size_bytes, assoc, line_bytes =
+        frequency
+          [ (1, oneofl replay_geometries);
+            ( 1,
+              let* assoc = oneofl [ 1; 1; 2; 3; 4; 6; 8 ] in
+              let* sets = map (fun k -> 1 lsl k) (int_range 0 6) in
+              let* line_bytes = map (fun k -> 1 lsl k) (int_range 0 7) in
+              return (sets * assoc * line_bytes, assoc, line_bytes) ) ]
+      in
+      let sets = size_bytes / (assoc * line_bytes) in
+      let op =
+        frequency
+          [ ( 60,
+              map3
+                (fun set tag (offset, write) -> Probe (set, tag, offset, write))
+                (int_range 0 (min sets 3 - 1))
+                (int_range 0 (assoc + 2))
+                (pair (int_range 0 (line_bytes - 1)) bool) );
+            (1, return Reset);
+            (1, return Flush) ]
+      in
+      let* ops = list_size (int_range 0 600) op in
+      return ((size_bytes, assoc, line_bytes), ops))
+  in
+  let print ((size_bytes, assoc, line_bytes), ops) =
+    Printf.sprintf "size=%d assoc=%d line=%d ops=%d" size_bytes assoc line_bytes
+      (List.length ops)
+  in
+  QCheck.Test.make ~name:"MRU-first probe ≡ plain LRU scan" ~count:300
+    (QCheck.make ~print gen)
+    (fun ((size_bytes, assoc, line_bytes), ops) ->
+      let c = Cache.create ~size_bytes ~assoc ~line_bytes () in
+      let r = Ref_cache.create ~size_bytes ~assoc ~line_bytes in
+      let sets = Cache.sets c in
       List.for_all
-        (fun (addr, write) -> Cache.probe c ~write addr = Ref_cache.access r ~write addr)
-        stream
-      && Cache.misses c = r.Ref_cache.misses
-      && Cache.accesses c = r.Ref_cache.accesses
-      && Cache.writebacks c = r.Ref_cache.writebacks)
+        (fun op ->
+          let verdict =
+            match op with
+            | Probe (set, tag, offset, write) ->
+              let addr = (((tag * sets) + set) * line_bytes) + offset in
+              Cache.probe c ~write addr = Ref_cache.access r ~write addr
+            | Reset ->
+              Cache.reset_counters c;
+              Ref_cache.reset_counters r;
+              true
+            | Flush ->
+              Cache.flush c;
+              Ref_cache.flush r;
+              true
+          in
+          verdict
+          && Cache.accesses c = r.Ref_cache.accesses
+          && Cache.misses c = r.Ref_cache.misses
+          && Cache.writebacks c = r.Ref_cache.writebacks)
+        ops)
 
 let test_mru_fast_path_counts () =
   (* A same-line streak exercises the MRU early exit; the counters must

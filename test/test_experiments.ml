@@ -73,6 +73,37 @@ let test_report_registry () =
   Alcotest.(check bool) "find" true (R.find "table3" <> None);
   Alcotest.(check bool) "unknown" true (R.find "nope" = None)
 
+let test_fig10_spans_cover () =
+  (* Trace generation, packing and analysis run under spans, so a
+     fig10 series is attributed almost entirely to named stages. *)
+  let module Span = Prefix_obs.Span in
+  Prefix_obs.Control.set true;
+  Span.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Prefix_obs.Control.set false;
+      Span.reset ())
+  @@ fun () ->
+  ignore
+    (Span.with_ "fig10-series" (fun () -> Prefix_experiments.Exp_fig10.series "mcf"));
+  let spans = Span.completed () in
+  let root = List.find (fun (s : Span.completed) -> s.name = "fig10-series") spans in
+  let children =
+    List.filter
+      (fun (s : Span.completed) -> s.parent = Some "fig10-series" && s.tid = root.tid)
+      spans
+  in
+  let covered = List.fold_left (fun acc (s : Span.completed) -> Int64.add acc s.dur_ns) 0L children in
+  let share = Int64.to_float covered /. Int64.to_float root.dur_ns in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " span") true
+        (List.exists (fun (s : Span.completed) -> s.name = name) children))
+    [ "generate-traces"; "pack-traces"; "trace-analysis" ];
+  if share < 0.95 then
+    Alcotest.failf "direct children cover %.1f%% of the series span (< 95%%)"
+      (100. *. share)
+
 let suite =
   [ ( "experiments",
       [ Alcotest.test_case "paper data complete" `Quick test_paper_data_complete;
@@ -80,4 +111,5 @@ let suite =
         Alcotest.test_case "fig2 layout" `Quick test_fig2_layout_matches_paper;
         Alcotest.test_case "libc end to end" `Slow test_libc_end_to_end;
         Alcotest.test_case "swissmap recycling" `Slow test_swissmap_recycling_claims;
-        Alcotest.test_case "report registry" `Quick test_report_registry ] ) ]
+        Alcotest.test_case "report registry" `Quick test_report_registry;
+        Alcotest.test_case "fig10 series spans cover its time" `Quick test_fig10_spans_cover ] ) ]

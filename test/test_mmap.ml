@@ -8,9 +8,8 @@
      strict rejections and lenient lost ranges of the channel decoders
      — on clean files, qcheck event soup and corrupted bytes alike;
    - pipeline equivalence: [Stream.prefetched] emits its inner
-     stream's exact segment sequence, [Executor.run_stream_many]
-     matches per-policy [Executor.run_stream] outcome-for-outcome, and
-     [Executor.probe_widening] never changes an outcome. *)
+     stream's exact segment sequence and [Executor.run_stream_many]
+     matches per-policy [Executor.run_stream] outcome-for-outcome. *)
 
 open Prefix_trace
 module Bigio = Prefix_util.Bigio
@@ -365,26 +364,6 @@ let prop_run_stream_many_strict_raises_same =
       in
       solo = fanned)
 
-let test_probe_widening_equal () =
-  List.iter
-    (fun name ->
-      let wl = Prefix_workloads.Registry.find name in
-      let p =
-        Packed.of_trace (wl.generate ~scale:Prefix_workloads.Workload.Profiling ~seed:5 ())
-      in
-      let outcome on =
-        Executor.probe_widening := on;
-        Fun.protect
-          ~finally:(fun () -> Executor.probe_widening := true)
-          (fun () -> Executor.run_packed ~policy:baseline p)
-      in
-      let wide = outcome true and narrow = outcome false in
-      Alcotest.(check bool) (name ^ ": metrics") true
-        (wide.Executor.metrics = narrow.Executor.metrics);
-      Alcotest.(check bool) (name ^ ": recovery") true
-        (wide.Executor.recovery = narrow.Executor.recovery))
-    [ "libc"; "mcf"; "swissmap" ]
-
 let suite =
   [ ( "bigio",
       [ Alcotest.test_case "mmap and read-fallback loads agree" `Quick
@@ -414,6 +393,4 @@ let suite =
           test_prefetched_consumer_abort;
         Alcotest.test_case "run_stream_many ≡ per-policy run_stream" `Quick
           test_run_stream_many_equal;
-        QCheck_alcotest.to_alcotest prop_run_stream_many_strict_raises_same;
-        Alcotest.test_case "probe widening never changes outcomes" `Quick
-          test_probe_widening_equal ] ) ]
+        QCheck_alcotest.to_alcotest prop_run_stream_many_strict_raises_same ] ) ]
