@@ -31,8 +31,9 @@
    packed replay.
 
    And `telemetry [--benches a,b] [--out FILE]`: replay each benchmark's
-   Profiling-scale trace with the continuous flight recorder off and on,
-   print the throughput cost of telemetry, and write
+   Long-scale trace with the continuous flight recorder off and on, in
+   samples of at least 200 ms, print the throughput cost of telemetry,
+   and write
    BENCH_telemetry.json; exits non-zero if the geomean overhead exceeds
    the 3% budget.
 
@@ -511,29 +512,44 @@ let run_columnar_bench ~benches ~scale ~out =
     exit 1
   end
 
-(* Flight-recorder overhead: replay each benchmark's Profiling-scale
-   packed trace under the baseline policy with observability on, first
+(* Flight-recorder overhead: replay each benchmark's Long-scale packed
+   trace under the baseline policy with observability on, first
    with the recorder disabled and then recording at the default cadence,
    and report the throughput cost of continuous telemetry.  Both legs
    pay the same span/metric cost, so the delta isolates the recorder:
    one integer compare per event plus a registry snapshot every 2^16
-   events.  Budget: 3% geomean. *)
+   events.  A single Long replay takes only 1-10 ms, so each timed
+   sample chains replays, alternating the legs, until the off leg spans
+   at least 200 ms.  Budget: 3% geomean. *)
 let run_telemetry ~benches ~out =
   let module Packed = Prefix_trace.Packed in
   let module Executor = Prefix_runtime.Executor in
   let module Policy = Prefix_runtime.Policy in
   let costs = Executor.default_config.costs in
   let reps = 8 in
+  let min_sample_ns = 200_000_000L in
   let time1 f =
     let t0 = Prefix_obs.Clock.now_ns () in
     ignore (f ());
     Int64.sub (Prefix_obs.Clock.now_ns ()) t0
   in
+  (* One paired sample: off and on replays alternate until the off leg
+     spans [min_sample_ns], so both legs see the same stretch of machine
+     speed.  Returns each leg's mean time per replay. *)
+  let sample run =
+    let off = ref 0L and on = ref 0L and n = ref 0 in
+    while Int64.compare !off min_sample_ns < 0 do
+      Prefix_obs.Recorder.disable ();
+      off := Int64.add !off (time1 run);
+      Prefix_obs.Recorder.configure ();
+      on := Int64.add !on (time1 run);
+      incr n
+    done;
+    (Int64.to_float !off /. float_of_int !n, Int64.to_float !on /. float_of_int !n)
+  in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf ("{\n" ^ provenance_json ~reps ~scale:"long" ^ "  \"benches\": [");
   let ratios = ref [] in
-  (* Long-scale traces: each timed replay runs ~10^2 ms, long enough
-     that container noise stays small next to the work being gated. *)
   Printf.printf "=== flight-recorder overhead (Long scale, baseline policy) ===\n";
   Printf.printf "%-10s %14s %14s %9s\n" "bench" "off ev/s" "on ev/s" "overhead";
   List.iteri
@@ -552,16 +568,13 @@ let run_telemetry ~benches ~out =
          throughput figures. *)
       Prefix_obs.Control.set true;
       ignore (run ());
-      let best_off = ref Int64.max_int and best_on = ref Int64.max_int in
+      let best_off = ref infinity and best_on = ref infinity in
       let pair_ratios =
         Array.init reps (fun _ ->
-            Prefix_obs.Recorder.disable ();
-            let d_off = time1 run in
+            let d_off, d_on = sample run in
             if d_off < !best_off then best_off := d_off;
-            Prefix_obs.Recorder.configure ();
-            let d_on = time1 run in
             if d_on < !best_on then best_on := d_on;
-            Int64.to_float d_on /. Int64.to_float d_off)
+            d_on /. d_off)
       in
       Prefix_obs.Recorder.disable ();
       Prefix_obs.Control.set false;
@@ -571,8 +584,8 @@ let run_telemetry ~benches ~out =
         if n land 1 = 1 then pair_ratios.(n / 2)
         else (pair_ratios.((n / 2) - 1) +. pair_ratios.(n / 2)) /. 2.
       in
-      let t_off = Int64.to_float !best_off /. 1e9 in
-      let t_on = Int64.to_float !best_on /. 1e9 in
+      let t_off = !best_off /. 1e9 in
+      let t_on = !best_on /. 1e9 in
       let rate t = if t > 0. then float_of_int events /. t else 0. in
       let overhead = median -. 1. in
       ratios := (1. +. max 0. overhead) :: !ratios;

@@ -344,14 +344,11 @@ let plan_cmd =
     | Error e -> prerr_endline e; 1
     | Ok w ->
       let trace = w.generate ~scale:Workload.Profiling ~seed () in
-      let stats = Trace_stats.analyze trace in
+      let config = { Harness.pipeline_config with slot_mode = slots } in
+      let profile = Pipeline.profile ~config trace in
       List.iter
         (fun variant ->
-          let plan =
-            Pipeline.plan_with_stats
-              ~config:{ Harness.pipeline_config with slot_mode = slots }
-              ~variant stats trace
-          in
+          let plan = Pipeline.plan_of_profile ~config ~variant profile in
           Format.printf "%a@." Plan.pp_summary plan;
           List.iter
             (fun (cp : Plan.counter_plan) ->
@@ -808,13 +805,11 @@ let validate_cmd =
               | [] -> ""
               | v :: _ -> Format.asprintf "%a" Prefix_trace.Trace.pp_violation v);
             if scale = Workload.Profiling then begin
-              let stats = Trace_stats.analyze trace in
+              let config = Harness.pipeline_config in
+              let profile = Pipeline.profile ~config trace in
               List.iter
                 (fun variant ->
-                  let plan =
-                    Pipeline.plan_with_stats ~config:Harness.pipeline_config ~variant stats
-                      trace
-                  in
+                  let plan = Pipeline.plan_of_profile ~config ~variant profile in
                   check
                     (Printf.sprintf "%s plan %s" w.name (Plan.variant_name variant))
                     (Plan.validate plan = Ok ())

@@ -4,7 +4,7 @@ type pattern =
   | Fixed of int list
 
 let infer ~hot_instances ~total_instances =
-  let ids = List.sort_uniq compare hot_instances in
+  let ids = List.sort_uniq Int.compare hot_instances in
   (match ids with [] -> invalid_arg "Context.infer: no hot instances" | _ -> ());
   List.iter
     (fun i ->

@@ -7,13 +7,14 @@
     by simulating it over the allocation trace, which is exactly what
     {!share} does. *)
 
-type alloc = {
-  pos : int;  (** trace position of the Alloc event (for interleaving) *)
-  obj : int;  (** dynamic object id *)
-  hot : bool;  (** selected as hot in the profile *)
+type site_allocs = {
+  site : int;
+  pos : int array;  (** trace position of each Alloc event (for interleaving) *)
+  obj : int array;  (** dynamic object id of each allocation *)
+  hot : bool array;  (** whether each allocation was selected as hot *)
 }
-
-type site_allocs = { site : int; allocs : alloc list (* ascending [pos] *) }
+(** One site's profiled allocations as parallel arrays, normally in
+    ascending [pos]; an unsorted site is stably sorted by position. *)
 
 type group = {
   counter : int;  (** counter id, dense from 0 *)
@@ -33,10 +34,13 @@ val share : ?max_fixed:int -> ?enable:bool -> site_allocs list -> group list
     a site joins the first existing group for which the combined hot
     ids still form a supported pattern ([All], [Regular], or [Fixed]
     with at most [max_fixed] ids (default 3) or forming one consecutive run), otherwise it opens a
-    new group.  [enable:false] (default [true]) skips sharing and
+    new group.  Each group keeps its allocations merged by position,
+    so testing a site against a group is one linear merge pass.
+    [enable:false] (default [true]) skips sharing and
     returns one group per site, for the ablation benchmarks.
 
     Sites whose allocations contain no hot object are rejected with
-    [Invalid_argument] — they should not be instrumented at all. *)
+    [Invalid_argument] — they should not be instrumented at all, and so
+    are sites whose three arrays differ in length. *)
 
 val num_counters : group list -> int

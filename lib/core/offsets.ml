@@ -1,8 +1,10 @@
 type slot = { offset : int; size : int }
 
+module Itbl = Hashtbl.Make (Int)
+
 type t = {
   slots : slot list; (* placement order *)
-  index : (int, int) Hashtbl.t; (* obj -> slot index *)
+  index : int Itbl.t; (* obj -> slot index *)
   total : int;
 }
 
@@ -11,15 +13,15 @@ let align = 16
 let round_up n = (n + align - 1) / align * align
 
 let assign ~size_of order =
-  let index = Hashtbl.create (List.length order) in
+  let index = Itbl.create (List.length order) in
   let slots, _, total =
     List.fold_left
       (fun (acc, i, off) obj ->
-        if Hashtbl.mem index obj then invalid_arg "Offsets.assign: duplicate object";
+        if Itbl.mem index obj then invalid_arg "Offsets.assign: duplicate object";
         let size = size_of obj in
         if size <= 0 then invalid_arg "Offsets.assign: non-positive size";
         let size = round_up size in
-        Hashtbl.replace index obj i;
+        Itbl.replace index obj i;
         ({ offset = off; size } :: acc, i + 1, off + size))
       ([], 0, 0) order
   in
@@ -27,7 +29,7 @@ let assign ~size_of order =
 
 let slots t = t.slots
 
-let slot_of_obj t obj = Hashtbl.find_opt t.index obj
+let slot_of_obj t obj = Itbl.find_opt t.index obj
 
 let region_bytes t = t.total
 
@@ -42,8 +44,8 @@ let truncate t ~max_bytes =
       end)
     t.slots;
   let n_kept = List.length !kept in
-  let index = Hashtbl.create n_kept in
-  Hashtbl.iter (fun obj i -> if i < n_kept then Hashtbl.replace index obj i) t.index;
+  let index = Itbl.create n_kept in
+  Itbl.iter (fun obj i -> if i < n_kept then Itbl.replace index obj i) t.index;
   { slots = List.rev !kept; index; total = !total }
 
 let extend t ~count ~size =

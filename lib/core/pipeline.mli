@@ -5,7 +5,12 @@
     Algorithm 1 reconstitution → placement order per variant → site
     promotion (sites whose allocations are almost all hot are treated
     as "all ids" sites) → counter sharing → recycling analysis →
-    offset assignment → plan. *)
+    offset assignment → plan.
+
+    The first steps do not depend on the variant: a {!profile} holds
+    them (the analysis, the hot selection, per-site member arrays and
+    the liveness intervals), built once per profiling trace and shared
+    by every plan made from it. *)
 
 type slot_mode =
   | Modulo  (** Figure 7: slot = (id - 1) mod N *)
@@ -47,21 +52,40 @@ type config = {
 
 val default_config : config
 
-val analyze : Prefix_trace.Trace.t -> Prefix_trace.Trace_stats.t
-(** [Trace_stats.analyze] under a "trace-analysis" observability span;
-    use this instead of calling the analyzer directly when the run
-    should show up in span reports and Chrome traces. *)
-
 val analyze_packed : Prefix_trace.Packed.t -> Prefix_trace.Trace_stats.t
-(** {!analyze} off an already-packed trace, avoiding a second packing
-    when the caller also replays the packed form. *)
+(** [Trace_stats.analyze_packed] under a "trace-analysis" observability
+    span; use this instead of calling the analyzer directly when the run
+    should show up in span reports and Chrome traces.  (A profiling
+    trace is analysed by {!profile}, under the same span.) *)
 
 val analyze_stream : Prefix_trace.Stream.t -> Prefix_trace.Trace_stats.t
-(** {!analyze} off a segment stream under the same "trace-analysis"
+(** {!analyze_packed} off a segment stream under the same "trace-analysis"
     span: identical statistics, one segment of trace memory. *)
 
-val plan :
-  ?config:config -> variant:Plan.variant -> Prefix_trace.Trace.t -> Plan.t
+(** {2 Profiles} *)
+
+type profile
+(** The variant-independent half of planning for one profiling trace:
+    its statistics, the hot selection at the configured coverage (in
+    allocation order too), each site's members with their allocation
+    positions and signatures, and the liveness intervals (extracted on
+    first use).  Read-only once built and safe to share across domains. *)
+
+val profile : ?config:config -> Prefix_trace.Trace.t -> profile
+(** Packs the trace once and analyses it under a "trace-analysis" span
+    (the intervals later come from the same packed form), then selects
+    the hot objects at [config]'s coverage. *)
+
+val profile_of_stats :
+  ?config:config -> Prefix_trace.Trace_stats.t -> Prefix_trace.Trace.t -> profile
+(** A profile over an existing analysis of [trace]. *)
+
+val profile_stats : profile -> Prefix_trace.Trace_stats.t
+val profile_trace : profile -> Prefix_trace.Trace.t
+
+val intervals : profile -> Intervals.t
+(** The profiling trace's liveness intervals, extracted (under a
+    "liveness-intervals" span) on the first call and shared after. *)
 
 val detect :
   ?config:config ->
@@ -73,6 +97,21 @@ val detect :
     caller planning several variants (or the HDS policy) detects once
     and shares the list. *)
 
+val plan_of_profile :
+  ?config:config -> ?ohds:Prefix_hds.Hds.t list -> variant:Plan.variant -> profile -> Plan.t
+(** Plan one variant from a shared profile, under a "pipeline" span
+    whose children name every stage: reconstitution, placement-order,
+    counter-sharing, recycle-analysis, offset-assignment and plan.
+    [ohds], when given, must be {!detect}[ ~config] over the profile's
+    statistics and trace.  A [config] whose coverage differs from the
+    one the profile was built with selects its own hot set; every other
+    field may vary freely between plans of one profile. *)
+
+(** {2 One-shot planning} *)
+
+val plan :
+  ?config:config -> variant:Plan.variant -> Prefix_trace.Trace.t -> Plan.t
+
 val plan_with_stats :
   ?config:config ->
   ?ohds:Prefix_hds.Hds.t list ->
@@ -80,11 +119,11 @@ val plan_with_stats :
   Prefix_trace.Trace_stats.t ->
   Prefix_trace.Trace.t ->
   Plan.t
-(** Like {!plan} but reuses an existing trace analysis.  [ohds], when
-    given, must be {!detect}[ ~config stats trace]; the plan is then
-    identical to the one planned without it, minus the detection. *)
+(** [plan_of_profile] over [profile_of_stats stats trace]: reuses an
+    existing trace analysis.  Callers planning several times from one
+    profile should build the profile once instead. *)
 
 val all_variants :
   ?config:config -> Prefix_trace.Trace.t -> (Plan.variant * Plan.t) list
-(** Plans for Hot, Hds and HdsHot sharing one analysis pass and one
+(** Plans for Hot, Hds and HdsHot sharing one profile and one
     detection. *)

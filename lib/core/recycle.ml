@@ -15,38 +15,33 @@ let default_config =
     headroom = 1.25;
     max_slot_bytes = 1024 * 1024 }
 
-let max_live_combined stats sites =
-  let site_set = Hashtbl.create (List.length sites) in
-  List.iter (fun s -> Hashtbl.replace site_set s ()) sites;
-  let events =
-    Trace_stats.objects stats
-    |> List.filter (fun (o : Trace_stats.obj_info) -> Hashtbl.mem site_set o.site)
-    |> List.concat_map (fun (o : Trace_stats.obj_info) ->
-           let fin = match o.free_index with Some i -> i | None -> max_int in
-           [ (o.alloc_index, 1); (fin, -1) ])
-    |> List.sort compare
+(* Every incarnation allocated at one of [sites] (each site once). *)
+let members stats sites =
+  List.sort_uniq Int.compare sites |> List.map (Trace_stats.site_members stats) |> Array.concat
+
+let peak members =
+  let births = Array.map (fun (o : Trace_stats.obj_info) -> o.alloc_index) members in
+  let deaths =
+    Array.map
+      (fun (o : Trace_stats.obj_info) -> match o.free_index with Some i -> i | None -> max_int)
+      members
   in
-  let live = ref 0 and best = ref 0 in
-  List.iter
-    (fun (_, d) ->
-      live := !live + d;
-      if !live > !best then best := !live)
-    events;
-  !best
+  Array.stable_sort Int.compare births;
+  Array.stable_sort Int.compare deaths;
+  Trace_stats.peak_live ~births ~deaths
+
+let max_live_combined stats sites = peak (members stats sites)
 
 let analyze ?(config = default_config) stats ~sites =
-  let objs =
-    Trace_stats.objects stats
-    |> List.filter (fun (o : Trace_stats.obj_info) -> List.mem o.site sites)
-  in
-  let total = List.length objs in
-  if total < config.min_total_allocs then None
+  let objs = members stats sites in
+  let allocs = Array.length objs in
+  if allocs < config.min_total_allocs then None
   else begin
-    let max_live = max_live_combined stats sites in
+    let max_live = peak objs in
     let slot_bytes =
-      List.fold_left (fun m (o : Trace_stats.obj_info) -> max m (max o.size o.alloc_size)) 0 objs
+      Array.fold_left (fun m (o : Trace_stats.obj_info) -> max m (max o.size o.alloc_size)) 0 objs
     in
-    let ratio = float_of_int max_live /. float_of_int total in
+    let ratio = float_of_int max_live /. float_of_int allocs in
     if ratio > config.max_live_ratio || slot_bytes > config.max_slot_bytes || max_live = 0 then
       None
     else

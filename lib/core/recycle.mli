@@ -36,7 +36,9 @@ val analyze :
 (** Decide whether the counter group owning [sites] should recycle:
     measures the combined maximum number of simultaneously live objects
     across those sites and compares it with the total allocation count
-    per the thresholds above. *)
+    per the thresholds above.  Reads each site's members
+    ({!Prefix_trace.Trace_stats.site_members}), a site listed twice
+    counting once. *)
 
 val max_live_combined : Prefix_trace.Trace_stats.t -> int list -> int
 (** Peak simultaneously-live object count across a set of sites

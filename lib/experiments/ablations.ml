@@ -58,13 +58,14 @@ let counter_sharing () =
   List.iter
     (fun name ->
       let r = Harness.find name in
+      let profile = Harness.profile name in
       let ohds =
         Pipeline.detect ~config:Harness.pipeline_config r.profiling_stats r.profiling_trace
       in
       let plan_with sharing =
-        Pipeline.plan_with_stats
+        Pipeline.plan_of_profile
           ~config:{ Harness.pipeline_config with counter_sharing = sharing }
-          ~ohds ~variant:Plan.HdsHot r.profiling_stats r.profiling_trace
+          ~ohds ~variant:Plan.HdsHot profile
       in
       let shared = plan_with true and unshared = plan_with false in
       T.add_row t
@@ -80,6 +81,7 @@ let recycling_sweep () =
      peak simultaneous liveness forces fallbacks to malloc; more slots
      waste region space for no benefit. *)
   let r = Harness.find "leela" in
+  let profile = Harness.profile "leela" in
   let costs = Harness.exec_config.costs in
   (* The headroom only changes recycling, never detection. *)
   let ohds =
@@ -94,10 +96,7 @@ let recycling_sweep () =
         { Harness.pipeline_config with
           recycle_config = { Harness.pipeline_config.recycle_config with headroom } }
       in
-      let plan =
-        Pipeline.plan_with_stats ~config ~ohds ~variant:Plan.Hot r.profiling_stats
-          r.profiling_trace
-      in
+      let plan = Pipeline.plan_of_profile ~config ~ohds ~variant:Plan.Hot profile in
       let outcome =
         Prefix_runtime.Executor.run_packed ~config:Harness.exec_config
           ~policy:(fun heap ->
@@ -176,9 +175,9 @@ let hybrid_context () =
     (fun (o : Prefix_trace.Trace_stats.obj_info) -> Hashtbl.replace hot_set o.obj ())
     (Prefix_trace.Trace_stats.hot_objects stats);
   let cls = { Policy.is_hot = Hashtbl.mem hot_set; is_hds = (fun _ -> false) } in
+  let profile = Pipeline.profile prof in
   let capture config =
-    let plan = Pipeline.plan_with_stats ~config ~variant:Plan.Hot
-        (Prefix_trace.Trace_stats.analyze prof) prof in
+    let plan = Pipeline.plan_of_profile ~config ~variant:Plan.Hot profile in
     let o =
       Executor.run ~config:Harness.exec_config
         ~policy:(fun heap -> Prefix_runtime.Prefix_policy.policy costs heap plan cls)

@@ -115,15 +115,23 @@ let write_or_check_manifest cfg (wl : Workload.t) ~digest bdir =
 
 (* Load a phase's .done container, validating identity.  A corrupt
    .done is indistinguishable from a torn final write: redo the phase. *)
-let load_done ~path ~kind ~meta =
+let load_done ?layout ~path ~kind ~meta () =
   if not (Sys.file_exists path) then None
   else
     match Checkpoint.load_file path with
     | Error _ -> None
     | Ok (h, payload) -> (
       match Checkpoint.check_meta h ~kind ~meta with
-      | Ok () -> Some payload
-      | Error e -> failwith (path ^ ": " ^ e))
+      | Error e -> failwith (path ^ ": " ^ e)
+      | Ok () -> (
+        match layout with
+        | Some (key, v) when List.assoc_opt key h.meta <> Some v ->
+          failwith
+            (Printf.sprintf "%s: %s snapshot does not match this binary: %s %s, expected %S"
+               path kind key
+               (match List.assoc_opt key h.meta with Some v' -> Printf.sprintf "%S" v' | None -> "missing")
+               v)
+        | _ -> Some payload))
 
 let save_done ~path ~kind ~meta ~event_index payload =
   Checkpoint.save ~path { Checkpoint.kind; meta; event_index } ~payload
@@ -131,7 +139,7 @@ let save_done ~path ~kind ~meta ~event_index payload =
 (* Resume point of an interrupted phase: the newest loadable snapshot
    (current, else .prev), or nothing — then the phase restarts.  A
    snapshot that loads but belongs to another run is refused loudly. *)
-let load_snapshot ~path ~kind ~meta =
+let load_snapshot ?layout ~path ~kind ~meta () =
   if
     (not (Sys.file_exists path))
     && not (Sys.file_exists (Checkpoint.prev_path path))
@@ -141,8 +149,12 @@ let load_snapshot ~path ~kind ~meta =
     | Error _ -> None (* both copies torn: restart the phase *)
     | Ok (h, payload, _which) -> (
       match Checkpoint.check_meta h ~kind ~meta with
-      | Ok () -> Some (h.Checkpoint.event_index, payload)
-      | Error e -> failwith (path ^ ": " ^ e))
+      | Error e -> failwith (path ^ ": " ^ e)
+      | Ok () -> (
+        match layout with
+        | Some (key, v) when List.assoc_opt key h.meta <> Some v ->
+          None (* another build's snapshot layout: restart the phase *)
+        | _ -> Some (h.Checkpoint.event_index, payload)))
 
 let misaligned ~path ~start ~base ~len =
   failwith
@@ -178,45 +190,51 @@ let segments_durable cfg ~mon ~start ~save ~path stream feed =
         end
       end)
 
-(* Long-run statistics via the online collector. *)
+(* Long-run statistics via the online collector.  Its snapshots carry
+   no code digests, so they also record the collector's layout: a
+   mid-phase snapshot of another layout restarts the phase, a finished
+   one is refused. *)
+let stats_layout = ("stats_layout", Trace_stats.collector_layout)
+
 let durable_stats cfg ~mon ~meta bdir mk_stream =
   let done_path = bdir / "stats.done" in
   let ckpt_path = bdir / "stats.ckpt" in
+  let stats_meta = meta @ [ stats_layout ] in
   let finish payload =
-    match (Marshal.from_string payload 0 : Trace_stats.collector) with
+    match Trace_stats.restore payload with
     | c -> Trace_stats.finish c
     | exception (Failure msg | Invalid_argument msg) ->
       failwith (done_path ^ ": stats snapshot does not match this binary: " ^ msg)
   in
-  match load_done ~path:done_path ~kind:"stats" ~meta with
+  match load_done ~layout:stats_layout ~path:done_path ~kind:"stats" ~meta () with
   | Some payload -> finish payload
   | None ->
     let c, start =
-      match load_snapshot ~path:ckpt_path ~kind:"stats" ~meta with
+      match load_snapshot ~layout:stats_layout ~path:ckpt_path ~kind:"stats" ~meta () with
       | None -> (Trace_stats.collector (), 0)
       | Some (ev, payload) -> (
-        match (Marshal.from_string payload 0 : Trace_stats.collector) with
+        match Trace_stats.restore payload with
         | c -> (c, ev)
         | exception (Failure _ | Invalid_argument _) ->
           (Trace_stats.collector (), 0))
     in
     let save () =
       Checkpoint.save ~path:ckpt_path
-        { Checkpoint.kind = "stats"; meta; event_index = Trace_stats.events_fed c }
-        ~payload:(Marshal.to_string c [])
+        { Checkpoint.kind = "stats"; meta = stats_meta; event_index = Trace_stats.events_fed c }
+        ~payload:(Trace_stats.snapshot c)
     in
     segments_durable cfg ~mon ~start ~save ~path:ckpt_path
       (mk_stream ()) (fun ~base seg -> Trace_stats.feed c ~base seg);
-    save_done ~path:done_path ~kind:"stats" ~meta
+    save_done ~path:done_path ~kind:"stats" ~meta:stats_meta
       ~event_index:(Trace_stats.events_fed c)
-      (Marshal.to_string c []);
+      (Trace_stats.snapshot c);
     Trace_stats.finish c
 
 (* Long-run HDS classification.  [Detector.detect_stream] has no
    incremental snapshot: the phase restarts if interrupted. *)
 let durable_class ~mon ~meta bdir long_stats mk_stream =
   let done_path = bdir / "class.done" in
-  match load_done ~path:done_path ~kind:"class" ~meta with
+  match load_done ~path:done_path ~kind:"class" ~meta () with
   | Some payload -> (
     match (Marshal.from_string payload 0 : int list) with
     | ids -> ids
@@ -245,11 +263,11 @@ let durable_replay cfg ~mon ~meta bdir ~name ~policy mk_stream =
     | exception (Failure msg | Invalid_argument msg) ->
       failwith (done_path ^ ": outcome snapshot does not match this binary: " ^ msg)
   in
-  match load_done ~path:done_path ~kind:"outcome" ~meta with
+  match load_done ~path:done_path ~kind:"outcome" ~meta () with
   | Some payload -> outcome_of payload
   | None ->
     let session, start =
-      match load_snapshot ~path:ckpt_path ~kind:"session" ~meta with
+      match load_snapshot ~path:ckpt_path ~kind:"session" ~meta () with
       | Some (ev, payload) -> (
         match Executor.session_deserialize payload with
         | Ok st -> (st, ev)
@@ -302,7 +320,10 @@ let run_benchmark cfg (wl : Workload.t) : Harness.result =
       Stream.of_packed ?segment_events:cfg.segment_events p
     | Harness.Streamed mk -> mk ()
   in
-  let profiling_stats = Pipeline.analyze profiling_trace in
+  let profile =
+    Pipeline.profile ~config:(Harness.effective_pipeline_config ()) profiling_trace
+  in
+  let profiling_stats = Pipeline.profile_stats profile in
   let long_stats = durable_stats cfg ~mon ~meta bdir mk_stream in
   let long_events = Trace_stats.trace_length long_stats in
   let long_hot_set = Hashtbl.create 1024 in
@@ -318,7 +339,7 @@ let run_benchmark cfg (wl : Workload.t) : Harness.result =
   in
   let costs = Harness.exec_config.costs in
   let { Harness.plan_hot; plan_hds; plan_hdshot; hds_plan; halo_plan; block_plan } =
-    Harness.plan_profile profiling_stats profiling_trace
+    Harness.plan_profile profile
   in
   let replay name policy plan =
     let o = durable_replay cfg ~mon ~meta bdir ~name ~policy mk_stream in

@@ -23,10 +23,9 @@ let series name =
     Span.with_ ~cat:"harness" "generate-traces" (fun () ->
         wl.generate ~scale:Profiling ~seed:Harness.seed ())
   in
-  let prof_stats = Pipeline.analyze prof in
   let plan =
-    Pipeline.plan_with_stats ~config:Harness.pipeline_config ~variant:Prefix_core.Plan.Hot
-      prof_stats prof
+    Pipeline.plan_of_profile ~config:Harness.pipeline_config ~variant:Prefix_core.Plan.Hot
+      (Pipeline.profile ~config:Harness.pipeline_config prof)
   in
   let costs = Harness.exec_config.costs in
   List.map

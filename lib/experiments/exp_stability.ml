@@ -25,8 +25,8 @@ let benchmarks = [ "mcf"; "ft"; "health"; "leela"; "analyzer" ]
 
 (* The harness's own run is seed [Harness.seed] at Long scale, so that
    row is read from its memo; only the other seeds are computed here,
-   planned like the harness (one shared detection, the configured slot
-   mode) and replaying one packed evaluation trace. *)
+   planned like the harness (one profile and one shared detection, the
+   configured slot mode) and replaying one packed evaluation trace. *)
 let delta_for name seed =
   if seed = Harness.seed && Harness.eval_scale () = Workload.Long then begin
     let r = Harness.find name in
@@ -42,9 +42,9 @@ let delta_for name seed =
     let long =
       Span.with_ ~cat:"harness" "pack-traces" (fun () -> Packed.of_trace long_trace)
     in
-    let stats = Pipeline.analyze prof in
     let config = Harness.effective_pipeline_config () in
-    let ohds = Pipeline.detect ~config stats prof in
+    let profile = Pipeline.profile ~config prof in
+    let ohds = Pipeline.detect ~config (Pipeline.profile_stats profile) prof in
     let costs = Harness.exec_config.costs in
     let base =
       Executor.run_packed ~config:Harness.exec_config
@@ -53,7 +53,7 @@ let delta_for name seed =
     in
     List.fold_left
       (fun acc variant ->
-        let plan = Pipeline.plan_with_stats ~config ~ohds ~variant stats prof in
+        let plan = Pipeline.plan_of_profile ~config ~ohds ~variant profile in
         let o =
           Executor.run_packed ~config:Harness.exec_config
             ~policy:(fun heap ->

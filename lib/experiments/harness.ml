@@ -164,12 +164,12 @@ type profile_plans = {
   block_plan : Block_policy.plan;
 }
 
-let plan_profile profiling_stats profiling_trace =
+let plan_profile profile =
   let config = effective_pipeline_config () in
+  let profiling_stats = Pipeline.profile_stats profile in
+  let profiling_trace = Pipeline.profile_trace profile in
   let ohds = Pipeline.detect ~config profiling_stats profiling_trace in
-  let plan_of variant =
-    Pipeline.plan_with_stats ~config ~ohds ~variant profiling_stats profiling_trace
-  in
+  let plan_of variant = Pipeline.plan_of_profile ~config ~ohds ~variant profile in
   let plan_hot = plan_of Plan.Hot in
   let plan_hds = plan_of Plan.Hds in
   let plan_hdshot = plan_of Plan.HdsHot in
@@ -183,7 +183,7 @@ let plan_profile profiling_stats profiling_trace =
   in
   let block_plan =
     Span.with_ ~cat:"harness" "block-plan" (fun () ->
-        Block_policy.plan_of_trace profiling_trace)
+        Block_policy.plan_of_intervals (Pipeline.intervals profile))
   in
   { plan_hot; plan_hds; plan_hdshot; hds_plan; halo_plan; block_plan }
 
@@ -257,9 +257,11 @@ let run_benchmark_spooling (wl : Workload.t) ~spooled_path =
       if !jobs >= 2 then Prefix_trace.Stream.prefetched ~spawn:prefetch_spawn s
       else s
   in
-  (* Pipeline.analyze rather than Trace_stats.analyze so both analysis
-     passes appear as "trace-analysis" spans in obs reports. *)
-  let profiling_stats = Pipeline.analyze profiling_trace in
+  (* Both analysis passes appear as "trace-analysis" spans in obs
+     reports; the profile packs its trace once for the analysis and the
+     liveness intervals. *)
+  let profile = Pipeline.profile ~config:(effective_pipeline_config ()) profiling_trace in
+  let profiling_stats = Pipeline.profile_stats profile in
   let long_stats =
     match long_source with
     | Materialized p -> Pipeline.analyze_packed p
@@ -287,7 +289,7 @@ let run_benchmark_spooling (wl : Workload.t) ~spooled_path =
   (* Profile-side plans. *)
   Log.info (fun m -> m "%s: planning" wl.name);
   let { plan_hot; plan_hds; plan_hdshot; hds_plan; halo_plan; block_plan } =
-    plan_profile profiling_stats profiling_trace
+    plan_profile profile
   in
   (* Long-run replays. *)
   let baseline, hds, halo, block, prefix_hot, prefix_hds, prefix_hdshot =
@@ -356,21 +358,22 @@ let run_benchmark_spooling (wl : Workload.t) ~spooled_path =
         prefix_run plan_hds,
         prefix_run plan_hdshot )
   in
-  { wl;
-    profiling_trace;
-    long_source;
-    long_events;
-    profiling_stats;
-    long_stats;
-    baseline;
-    hds;
-    halo;
-    block;
-    prefix_hot;
-    prefix_hds;
-    prefix_hdshot;
-    long_hot_set;
-    long_hds_set }
+  ( { wl;
+      profiling_trace;
+      long_source;
+      long_events;
+      profiling_stats;
+      long_stats;
+      baseline;
+      hds;
+      halo;
+      block;
+      prefix_hot;
+      prefix_hds;
+      prefix_hdshot;
+      long_hot_set;
+      long_hds_set },
+    profile )
 
 (* A benchmark that dies mid-flight (strict-replay anomaly, guardrail
    breach, I/O failure) can never hand its result — and therefore its
@@ -378,7 +381,7 @@ let run_benchmark_spooling (wl : Workload.t) ~spooled_path =
    here rather than lingering until at_exit.  On success the spool file
    must outlive this call: the result's [Streamed] closures re-stream
    from it (reports, benches, checkpoints). *)
-let run_benchmark (wl : Workload.t) =
+let run_profiled (wl : Workload.t) =
   let spooled_path = ref None in
   try run_benchmark_spooling wl ~spooled_path
   with e ->
@@ -386,10 +389,14 @@ let run_benchmark (wl : Workload.t) =
     Option.iter unspool !spooled_path;
     Printexc.raise_with_backtrace e bt
 
+let run_benchmark wl = fst (run_profiled wl)
+
 (* The memo cache is shared by every experiment; pooled [run_all]s fill
    it from several domains at once, so all access goes through a mutex
-   (never held while a benchmark actually runs). *)
-let cache : (string, result) Hashtbl.t = Hashtbl.create 16
+   (never held while a benchmark actually runs).  Each result is kept
+   with the profile it was planned from, so later experiments plan from
+   the same record. *)
+let cache : (string, result * Pipeline.profile) Hashtbl.t = Hashtbl.create 16
 let cache_mutex = Mutex.create ()
 
 let cached name =
@@ -417,10 +424,14 @@ let clear_cache () =
   Hashtbl.reset cache;
   Mutex.unlock cache_mutex
 
-let find name =
+let find_profiled name =
   match cached name with
   | Some r -> r
-  | None -> store name (run_benchmark (Prefix_workloads.Registry.find name))
+  | None -> store name (run_profiled (Prefix_workloads.Registry.find name))
+
+let find name = fst (find_profiled name)
+
+let profile name = snd (find_profiled name)
 
 let run_many ?jobs:j names =
   let j = match j with Some j -> max 1 j | None -> !jobs in
@@ -433,7 +444,7 @@ let run_many ?jobs:j names =
     Prefix_parallel.Pool.with_pool ~jobs:j (fun pool ->
         let rs =
           Prefix_parallel.Pool.map pool
-            (fun n -> run_benchmark (Prefix_workloads.Registry.find n))
+            (fun n -> run_profiled (Prefix_workloads.Registry.find n))
             missing
         in
         List.iter2 (fun n r -> ignore (store n r)) missing rs));

@@ -114,14 +114,15 @@ type profile_plans = {
   block_plan : Prefix_runtime.Block_policy.plan;
 }
 
-val plan_profile :
-  Prefix_trace.Trace_stats.t -> Prefix_trace.Trace.t -> profile_plans
+val plan_profile : Prefix_core.Pipeline.profile -> profile_plans
 (** Every profile-side plan of one benchmark, as [run_benchmark] builds
-    them: PreFix Hot, Hds and HdsHot under {!effective_pipeline_config},
+    them from its one {!Prefix_core.Pipeline.profile}: PreFix Hot, Hds
+    and HdsHot under {!effective_pipeline_config},
     then the HDS, HALO and Block policy plans.  HDS mining runs once (one
     ["hds-detection"] span) and its OHDS is shared by the three PreFix
     plans and the HDS plan; the other planners run in ["halo-plan"],
-    ["hds-policy-plan"] and ["block-plan"] spans. *)
+    ["hds-policy-plan"] and ["block-plan"] spans.  The Block plan reads
+    the profile's liveness intervals. *)
 
 val eval_scale : unit -> Prefix_workloads.Workload.scale
 (** The configured {!set_eval_scale}. *)
@@ -158,6 +159,10 @@ val run_many : ?jobs:int -> string list -> result list
 
 val clear_cache : unit -> unit
 (** Forget all memoized results (tests use this to force fresh runs). *)
+
+val profile : string -> Prefix_core.Pipeline.profile
+(** The profile {!find}'s result was planned from (memoized with it),
+    for experiments that plan again from the same profiling trace. *)
 
 val find : string -> result
 (** Memoized lookup by benchmark name.

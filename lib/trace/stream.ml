@@ -289,4 +289,18 @@ let to_trace t =
   iter_events t (fun _ e -> Trace.add trace e);
   trace
 
-let to_packed t = Packed.of_trace (to_trace t)
+(* Each segment's columns are copied as they stream past (the segments
+   share one buffer) and joined once at the end: no event is boxed. *)
+let to_packed t =
+  let chunks = ref [] in
+  iter_segments t (fun ~base:_ (seg : Packed.t) ->
+      let n = seg.len in
+      chunks :=
+        Array.map (fun col -> Array.sub col 0 n)
+          [| seg.tag; seg.obj; seg.fa; seg.fb; seg.fc; seg.thread |]
+        :: !chunks);
+  let chunks = List.rev !chunks in
+  let col i = Array.concat (List.map (fun c -> c.(i)) chunks) in
+  let tag = col 0 in
+  Packed.of_arrays ~len:(Array.length tag) ~tag ~obj:(col 1) ~fa:(col 2) ~fb:(col 3)
+    ~fc:(col 4) ~thread:(col 5)

@@ -100,3 +100,5 @@ val to_columnar_file : ?frame_events:int -> t -> string -> unit
 val to_trace : t -> Trace.t
 
 val to_packed : t -> Packed.t
+(** Copies each segment's columns as it streams past and joins them:
+    exactly [Packed.of_trace (to_trace t)], without boxing any event. *)

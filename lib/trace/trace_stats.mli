@@ -6,17 +6,20 @@
     every static site the ordered list of dynamic instances it produced.
     Hot-object selection (the basis of the paper's Figure 1) lives here. *)
 
-type obj_info = {
+type obj_info = private {
   obj : int;  (** dynamic object id *)
   site : int;  (** static malloc site *)
   ctx : int;  (** call-stack signature (HALO-style) *)
-  size : int;  (** final size after any reallocs *)
+  mutable size : int;  (** final size after any reallocs *)
   alloc_size : int;  (** size at allocation *)
-  accesses : int;  (** number of Access events *)
+  mutable accesses : int;  (** number of Access events *)
   alloc_index : int;  (** trace position of the Alloc event *)
-  free_index : int option;  (** trace position of the Free event, if freed *)
+  mutable free_index : int option;  (** trace position of the Free event, if freed *)
   instance : int;  (** 1-based dynamic allocation instance within [site] *)
 }
+(** One record per incarnation, built by the analysis and updated in
+    place while it folds over the trace; read-only outside this
+    module. *)
 
 type site_info = {
   site_id : int;
@@ -55,6 +58,13 @@ val sites : t -> site_info list
 
 val site_info : t -> int -> site_info
 
+val site_ids : t -> int list
+(** Every static site, ascending. *)
+
+val site_members : t -> int -> obj_info array
+(** Every incarnation allocated at a site, in allocation order (a fresh
+    array; empty for an unknown site). *)
+
 val total_heap_accesses : t -> int
 
 val trace_length : t -> int
@@ -75,6 +85,11 @@ val reused_ids : t -> int
 val max_live_objects_of_site : t -> int -> int
 (** Same, restricted to objects from one site. *)
 
+val peak_live : births:int array -> deaths:int array -> int
+(** Peak of an interval sweep over ascending birth and death positions
+    (no birth may share a position with a death, which holds for trace
+    indices of distinct events). *)
+
 val hot_objects : ?coverage:float -> ?min_accesses:int -> t -> obj_info list
 (** [hot_objects ~coverage t] is the smallest prefix of objects in
     descending access order whose accesses cover at least [coverage]
@@ -94,13 +109,17 @@ val lifetimes_overlap : t -> int -> int -> bool
     The analysis is a single left-to-right fold, exposed so long
     streamed analyses can be checkpointed mid-pass: [feed] segments in
     order, [finish] once at the end.  [analyze_stream] is exactly
-    [collector () |> feed over every segment |> finish].  The collector
-    is plain data (hashtables, lists, counters) — serializable with
-    [Marshal] for crash-safe resume. *)
+    [collector () |> feed over every segment |> finish].  [snapshot]
+    and [restore] carry a collector across a crash. *)
 
 type collector
 
 val collector : unit -> collector
+
+val collector_layout : string
+(** Identity of the {!snapshot} layout.  It changes whenever the
+    representation does, so a checkpoint can record it and refuse a
+    snapshot written by a build with another layout. *)
 
 val feed : collector -> base:int -> Packed.t -> unit
 (** Consume one packed segment whose first event has global index
@@ -109,4 +128,17 @@ val feed : collector -> base:int -> Packed.t -> unit
 val events_fed : collector -> int
 (** Events consumed so far (the resume cursor). *)
 
+val snapshot : collector -> string
+(** The collector's state as bytes: every incarnation once, in
+    allocation order, and the counters (marshalled, without code
+    digests). *)
+
+val restore : string -> collector
+(** The collector a {!snapshot} of this {!collector_layout} was taken
+    from, ready to be fed on.  The bytes are trusted: check the layout
+    first.  Raises [Failure] or [Invalid_argument] on bytes that are
+    not a marshalled value. *)
+
 val finish : collector -> t
+(** The statistics, sharing the collector's records and tables (nothing
+    is copied): feed nothing more to a finished collector. *)

@@ -344,6 +344,58 @@ let test_durable_refuses_foreign_directory () =
     Alcotest.(check bool) "names the mismatch" true
       (String.length msg > 0)
 
+(* Statistics snapshots record the collector's layout.  A snapshot from
+   a build with another layout — forged here from the original
+   collector, marshalled as that build wrote it — must never be read
+   back as this build's collector: mid-phase the phase restarts, and a
+   finished one is refused. *)
+let test_durable_foreign_collector_layout () =
+  let module Old_stats = Test_planning.Old_stats in
+  let wl = Registry.find "libc" in
+  let cfg ~dir = durable_cfg ~dir in
+  let forge path =
+    match Checkpoint.load_file path with
+    | Error e -> Alcotest.fail (path ^ ": " ^ e)
+    | Ok (h, _) ->
+      let c = Old_stats.collector () in
+      Stream.iter_segments
+        (Workload.generate_stream wl ~scale:Workload.Profiling
+           ~seed:(Prefix_experiments.Harness.seed + 1) ~segment_events:1024 ())
+        (fun ~base seg ->
+          if base + Packed.length seg <= h.event_index then Old_stats.feed c ~base seg);
+      let meta =
+        List.map (fun (k, v) -> if k = "stats_layout" then (k, "1") else (k, v)) h.meta
+      in
+      Alcotest.(check bool) "snapshot records the layout" true
+        (List.mem_assoc "stats_layout" h.meta);
+      Checkpoint.save ~path { h with meta } ~payload:(Marshal.to_string c [])
+  in
+  with_temp_dir @@ fun clean_dir ->
+  let clean = Durable.render (Durable.run_benchmark (cfg ~dir:clean_dir) wl) in
+  (* Mid-phase: resume restarts the statistics and converges. *)
+  (with_temp_dir @@ fun dir ->
+   (match run_killed (cfg ~dir) wl ~kill_after:3 with
+   | None -> ()
+   | Some _ -> Alcotest.fail "expected the run to be interrupted");
+   let bdir = Filename.concat dir wl.name in
+   Alcotest.(check bool) "interrupted inside the statistics phase" true
+     (Sys.file_exists (Filename.concat bdir "stats.ckpt")
+     && not (Sys.file_exists (Filename.concat bdir "stats.done")));
+   forge (Filename.concat bdir "stats.ckpt");
+   Alcotest.(check string) "restarted over a foreign snapshot" clean
+     (Durable.render (Durable.run_benchmark (cfg ~dir) wl)));
+  (* Finished: the phase's result is refused. *)
+  forge (Filename.concat (Filename.concat clean_dir wl.name) "stats.done");
+  match Durable.run_benchmark (cfg ~dir:clean_dir) wl with
+  | _ -> Alcotest.fail "read a foreign collector layout"
+  | exception Failure msg ->
+    let needle = "stats snapshot does not match this binary" in
+    let rec contains i =
+      i + String.length needle <= String.length msg
+      && (String.sub msg i (String.length needle) = needle || contains (i + 1))
+    in
+    Alcotest.(check bool) ("refused: " ^ msg) true (contains 0)
+
 let suite =
   [ ( "checkpoint",
       [ Alcotest.test_case "session snapshot roundtrips mid-replay" `Quick
@@ -364,4 +416,6 @@ let suite =
         Alcotest.test_case "pooled (jobs=2) kill/resume" `Quick
           test_durable_jobs2_kill_resume;
         Alcotest.test_case "refuses a foreign directory" `Quick
-          test_durable_refuses_foreign_directory ] ) ]
+          test_durable_refuses_foreign_directory;
+        Alcotest.test_case "foreign collector layout" `Quick
+          test_durable_foreign_collector_layout ] ) ]

@@ -165,12 +165,18 @@ let test_context_cost () =
 
 (* ---- Counters ---- *)
 
-let alloc pos obj hot = { Counters.pos; obj; hot }
+let alloc pos obj hot = (pos, obj, hot)
+
+let site site allocs =
+  { Counters.site;
+    pos = Array.of_list (List.map (fun (p, _, _) -> p) allocs);
+    obj = Array.of_list (List.map (fun (_, o, _) -> o) allocs);
+    hot = Array.of_list (List.map (fun (_, _, h) -> h) allocs) }
 
 let test_counters_simulate () =
   let sites =
-    [ { Counters.site = 1; allocs = [ alloc 0 10 true; alloc 4 12 false ] };
-      { Counters.site = 2; allocs = [ alloc 2 11 true ] } ]
+    [ site 1 [ alloc 0 10 true; alloc 4 12 false ];
+      site 2 [ alloc 2 11 true ] ]
   in
   Alcotest.(check (list (triple int int bool)))
     "interleaved numbering"
@@ -180,8 +186,8 @@ let test_counters_simulate () =
 let test_counters_share_tandem () =
   (* Two sites alternating, hot first: combined ids {1,2} — shareable. *)
   let sites =
-    [ { Counters.site = 1; allocs = [ alloc 0 10 true; alloc 10 20 false ] };
-      { Counters.site = 2; allocs = [ alloc 1 11 true; alloc 11 21 false ] } ]
+    [ site 1 [ alloc 0 10 true; alloc 10 20 false ];
+      site 2 [ alloc 1 11 true; alloc 11 21 false ] ]
   in
   let groups = Counters.share sites in
   Alcotest.(check int) "one counter" 1 (Counters.num_counters groups)
@@ -192,8 +198,8 @@ let test_counters_no_share () =
     List.init 10 (fun i -> alloc (base + i) (100 + base + i) false)
   in
   let sites =
-    [ { Counters.site = 1; allocs = alloc 0 10 true :: cold_run 1 };
-      { Counters.site = 2; allocs = alloc 20 11 true :: cold_run 21 } ]
+    [ site 1 (alloc 0 10 true :: cold_run 1);
+      site 2 (alloc 20 11 true :: cold_run 21) ]
   in
   let groups = Counters.share ~max_fixed:1 sites in
   Alcotest.(check int) "two counters" 2 (Counters.num_counters groups)
@@ -201,12 +207,12 @@ let test_counters_no_share () =
 let test_counters_rejects_siteless_hot () =
   Alcotest.check_raises "no hot object"
     (Invalid_argument "Counters.share: site 3 allocates no hot object") (fun () ->
-      ignore (Counters.share [ { Counters.site = 3; allocs = [ alloc 0 5 false ] } ]))
+      ignore (Counters.share [ site 3 [ alloc 0 5 false ] ]))
 
 let test_counters_disable () =
   let sites =
-    [ { Counters.site = 1; allocs = [ alloc 0 10 true ] };
-      { Counters.site = 2; allocs = [ alloc 1 11 true ] } ]
+    [ site 1 [ alloc 0 10 true ];
+      site 2 [ alloc 1 11 true ] ]
   in
   Alcotest.(check int) "unshared" 2
     (Counters.num_counters (Counters.share ~enable:false sites))

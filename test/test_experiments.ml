@@ -104,6 +104,54 @@ let test_fig10_spans_cover () =
     Alcotest.failf "direct children cover %.1f%% of the series span (< 95%%)"
       (100. *. share)
 
+let test_pipeline_spans_cover () =
+  (* Planning runs under named stages only: each variant's "pipeline"
+     span is covered by its direct children (health's profile, the
+     largest planning cost per benchmark). *)
+  let module Span = Prefix_obs.Span in
+  let module Pipeline = Prefix_core.Pipeline in
+  let module Plan = Prefix_core.Plan in
+  let wl = Prefix_workloads.Registry.find "health" in
+  let prof = wl.generate ~scale:Profiling ~seed:Prefix_experiments.Harness.seed () in
+  let profile = Pipeline.profile prof in
+  let ohds = Pipeline.detect (Pipeline.profile_stats profile) prof in
+  Prefix_obs.Control.set true;
+  Span.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Prefix_obs.Control.set false;
+      Span.reset ())
+  @@ fun () ->
+  List.iter
+    (fun variant -> ignore (Pipeline.plan_of_profile ~ohds ~variant profile))
+    [ Plan.Hot; Plan.Hds; Plan.HdsHot ];
+  let spans = Span.completed () in
+  let roots = List.filter (fun (s : Span.completed) -> s.name = "pipeline") spans in
+  Alcotest.(check int) "one pipeline span per variant" 3 (List.length roots);
+  List.iter
+    (fun (root : Span.completed) ->
+      let inside (s : Span.completed) =
+        s.tid = root.tid
+        && s.depth = root.depth + 1
+        && s.start_ns >= root.start_ns
+        && Int64.add s.start_ns s.dur_ns <= Int64.add root.start_ns root.dur_ns
+      in
+      let children = List.filter inside spans in
+      List.iter
+        (fun name ->
+          Alcotest.(check bool) (name ^ " span") true
+            (List.exists (fun (s : Span.completed) -> s.name = name) children))
+        [ "reconstitution"; "placement-order"; "counter-sharing"; "recycle-analysis";
+          "offset-assignment"; "plan" ];
+      let covered =
+        List.fold_left (fun acc (s : Span.completed) -> Int64.add acc s.dur_ns) 0L children
+      in
+      let share = Int64.to_float covered /. Int64.to_float root.dur_ns in
+      if share < 0.95 then
+        Alcotest.failf "direct children cover %.1f%% of a pipeline span (< 95%%)"
+          (100. *. share))
+    roots
+
 let suite =
   [ ( "experiments",
       [ Alcotest.test_case "paper data complete" `Quick test_paper_data_complete;
@@ -112,4 +160,5 @@ let suite =
         Alcotest.test_case "libc end to end" `Slow test_libc_end_to_end;
         Alcotest.test_case "swissmap recycling" `Slow test_swissmap_recycling_claims;
         Alcotest.test_case "report registry" `Quick test_report_registry;
-        Alcotest.test_case "fig10 series spans cover its time" `Quick test_fig10_spans_cover ] ) ]
+        Alcotest.test_case "fig10 series spans cover its time" `Quick test_fig10_spans_cover;
+        Alcotest.test_case "pipeline spans cover planning" `Quick test_pipeline_spans_cover ] ) ]

@@ -188,6 +188,20 @@ let prop_strict_raises_same =
       in
       streamed = packed)
 
+(* [to_packed] blits segment columns; the old route boxed every event
+   into a trace and packed it again.  Both must give the same columns. *)
+let prop_to_packed_soup =
+  QCheck.Test.make ~name:"to_packed ≡ Packed.of_trace (to_trace)" ~count:300
+    (QCheck.make soup_gen)
+    (fun (es, segment_events) ->
+      let s = Stream.of_trace ~segment_events (Trace.of_list es) in
+      Stream.to_packed s = Packed.of_trace (Stream.to_trace s))
+
+let test_to_packed_workload () =
+  let s = Stream.of_trace ~segment_events:seg (workload_trace ()) in
+  Alcotest.(check bool) "same columns as the boxed route" true
+    (Stream.to_packed s = Packed.of_trace (Stream.to_trace s))
+
 (* ---- analysis differential ---- *)
 
 let stats_fingerprint s =
@@ -341,6 +355,8 @@ let suite =
         Alcotest.test_case "corrupted traces" `Quick test_lenient_corrupted_every_kind;
         QCheck_alcotest.to_alcotest prop_lenient_soup;
         QCheck_alcotest.to_alcotest prop_strict_raises_same;
+        QCheck_alcotest.to_alcotest prop_to_packed_soup;
+        Alcotest.test_case "to_packed workload" `Quick test_to_packed_workload;
         Alcotest.test_case "analyze_stream workload" `Quick test_analyze_stream_workload;
         QCheck_alcotest.to_alcotest prop_analyze_stream_soup;
         Alcotest.test_case "analyze_stream corrupted" `Quick test_analyze_stream_corrupted;
