@@ -769,15 +769,14 @@ let run_checkpoint_bench ~benches ~out =
    build the six harness policies from Profiling-scale plans, then time
    two ways of replaying all six from the file —
 
-   - per-policy (the PR 8 production path, reproduced faithfully): six
-     independent [Executor.run_stream] passes, each decoding the
-     container end to end through the channel reader;
-   - decode-once: a single [Executor.run_stream_many] fan-out over an
-     mmap-backed, prefetch-pipelined stream (segment N+1 decodes on a
+   - per-policy: six independent [Executor.run_stream] passes over the
+     mmap-backed file stream, each decoding the container end to end;
+   - decode-once: a single [Executor.run_stream_many] fan-out over the
+     same kind of stream, prefetch-pipelined (segment N+1 decodes on a
      spawned domain while segment N replays through all six sessions).
 
-   Both legs run the same per-event replay loop, so the gap is decode
-   and I/O alone.
+   Both legs run the same per-event replay loop and the same decoder,
+   so the gap is the decodes saved by fanning one pass out.
 
    The decode-once leg wraps the stream in [Stream.prefetched] only
    when [jobs >= 2] — mirroring the harness gate: on a single
@@ -858,15 +857,16 @@ let run_pipeline_bench ~benches ~scale ~jobs ~out =
         (fun () ->
           Prefix_trace.Columnar.write_file path packed;
           (* Re-iterable streams, reused across reps (the production
-             pattern): the channel stream re-opens the file per pass,
-             the mmap stream maps it once and keeps the decoder. *)
-          let ch_stream = Stream.of_binary_file ~backend:`Channel path in
+             pattern): each maps the file once and keeps its decoder. *)
+          let per_policy_stream = Stream.of_binary_file path in
           let fan_stream =
             let s = Stream.of_binary_file path in
             if jobs >= 2 then Stream.prefetched s else s
           in
           let per_policy () =
-            List.map (fun (_, policy) -> Executor.run_stream ~policy ch_stream) policies
+            List.map
+              (fun (_, policy) -> Executor.run_stream ~policy per_policy_stream)
+              policies
           in
           let decode_once () =
             Executor.run_stream_many ~policies:(List.map snd policies) fan_stream

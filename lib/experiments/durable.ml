@@ -253,7 +253,12 @@ let durable_class ~mon ~meta bdir long_stats mk_stream =
       (Marshal.to_string ids []);
     ids
 
-(* One policy replay as a durable session. *)
+(* One policy replay as a durable session.  The finished outcome is
+   marshalled without code digests, so, like the statistics, it records
+   its layout and a finished outcome of another layout is refused.  (Its
+   mid-replay snapshots embed code digests: {!Executor.session_serialize}.) *)
+let outcome_layout = ("outcome_layout", Executor.outcome_layout)
+
 let durable_replay cfg ~mon ~meta bdir ~name ~policy mk_stream =
   let done_path = bdir / ("policy-" ^ name ^ ".done") in
   let ckpt_path = bdir / ("policy-" ^ name ^ ".ckpt") in
@@ -263,7 +268,7 @@ let durable_replay cfg ~mon ~meta bdir ~name ~policy mk_stream =
     | exception (Failure msg | Invalid_argument msg) ->
       failwith (done_path ^ ": outcome snapshot does not match this binary: " ^ msg)
   in
-  match load_done ~path:done_path ~kind:"outcome" ~meta () with
+  match load_done ~layout:outcome_layout ~path:done_path ~kind:"outcome" ~meta () with
   | Some payload -> outcome_of payload
   | None ->
     let session, start =
@@ -289,7 +294,7 @@ let durable_replay cfg ~mon ~meta bdir ~name ~policy mk_stream =
     segments_durable cfg ~mon ~start ~save ~path:ckpt_path
       (mk_stream ()) (fun ~base seg -> Executor.replay_segment session ~base seg);
     let outcome = Executor.session_finish session in
-    save_done ~path:done_path ~kind:"outcome" ~meta
+    save_done ~path:done_path ~kind:"outcome" ~meta:(meta @ [ outcome_layout ])
       ~event_index:(Executor.session_events session)
       (Marshal.to_string outcome []);
     Prefix_obs.Recorder.poll ~label:("durable:" ^ name) ();

@@ -59,6 +59,12 @@ type outcome = {
   recovery : recovery;
 }
 
+(* Identity of the marshalled [outcome] layout, the records inside it
+   included ([Metrics.t], [recovery], the heatmap and the attribution).
+   Change it whenever one of them changes, so an outcome written by
+   another layout is refused instead of being read back as this one. *)
+let outcome_layout = "1"
+
 (* Per-thread private L1 + TLBs, shared LLC. *)
 type mem_system = {
   cfg : Hierarchy.config;

@@ -44,6 +44,12 @@ type outcome = {
       (** lenient-mode recovery actions taken during the replay *)
 }
 
+val outcome_layout : string
+(** Identity of the {!outcome} layout, the records inside it included.
+    It changes whenever one of them changes, so a marshalled outcome
+    written by a build with another layout can be recognised instead
+    of being read back as this one. *)
+
 val run :
   ?config:config ->
   ?mode:Policy.mode ->

@@ -27,8 +27,14 @@
     strict readers reject any corruption; {!read_lenient} skips corrupt
     frames (resynchronizing on the frame marker) and reports exactly
     which event ranges were lost.  Both versions are readable by
-    {!read} / {!iter_channel}. *)
+    {!read} / {!iter_big}.
 
+    Every decoder reads a {!Prefix_util.Bigio.t} region holding the
+    whole container: a file mapping for the [_file] and [_big] entry
+    points, one copy of the input for the [bytes] ones.  The frame
+    skeleton (["FRME"] frames, ["FEND"] footer) is walked by one strict
+    and one lenient walk ({!walk_frames}, {!walk_frames_lenient}),
+    shared with the columnar v3 container of {!Columnar}. *)
 val magic : string
 (** ["PFXT"]. *)
 
@@ -70,8 +76,9 @@ val put_varint : Buffer.t -> int -> unit
 val put_u32le : Buffer.t -> int -> unit
 (** Append a 32-bit little-endian word (checksums). *)
 
-type cursor = { data : bytes; mutable pos : int }
-(** A decode position inside a byte buffer; getters advance [pos]. *)
+type cursor = { big : Prefix_util.Bigio.t; mutable pos : int; limit : int }
+(** A decode position inside a container region; getters advance
+    [pos] and never read at or past [limit]. *)
 
 val get_uvarint : cursor -> (int, string) result
 (** Decode an unsigned varint; [Error] on truncation, a value beyond 9
@@ -95,9 +102,10 @@ val write_framed : ?frame_events:int -> Buffer.t -> Trace.t -> unit
 val to_bytes_framed : ?frame_events:int -> Trace.t -> bytes
 
 val read : bytes -> (Trace.t, string) result
-(** Decode either format version; [Error] on bad magic, version,
-    truncation, malformed varints, or (v2) any CRC/footer mismatch.
-    An input shorter than the magic reports
+(** Decode either format version (one copy into a bigstring, then
+    {!iter_big}); [Error] on bad magic, version, truncation, malformed
+    varints, or (v2) any CRC/footer mismatch — the messages of
+    {!iter_big}.  An input shorter than the magic reports
     ["empty or truncated file (offset N)"]. *)
 
 val write_file : string -> Trace.t -> unit
@@ -108,6 +116,8 @@ val write_file_framed : ?frame_events:int -> string -> Trace.t -> unit
     rename so a crash never leaves a truncated trace behind. *)
 
 val read_file : string -> (Trace.t, string) result
+(** {!read} over a mapping of the file ({!Prefix_util.Bigio.load}).
+    Raises [Sys_error] if the file cannot be opened. *)
 
 (** {2 Lenient framed decode} *)
 
@@ -135,6 +145,7 @@ val read_lenient : bytes -> (lenient, string) result
     lost ranges leave behind. *)
 
 val read_file_lenient : string -> (lenient, string) result
+(** {!read_lenient} over a mapping of the file. *)
 
 val lenient_events_lost : lenient -> int
 (** Total events in [lr_lost]. *)
@@ -143,40 +154,66 @@ val pp_lost_range : Format.formatter -> lost_range -> unit
 
 (** {2 Streaming decode} *)
 
-val iter_channel :
-  ?on_frame:(unit -> unit) -> in_channel -> f:(Event.t -> unit) -> (unit, string) result
-(** Streaming decode straight off a (buffered) channel: [f] is called
-    once per event, no trace and no whole-file copy is materialized
-    (v2 holds one frame at a time).  Stops at the first corruption with
-    the same errors as {!read}; an empty channel reports
+val iter_big :
+  ?on_frame:(unit -> unit) -> Prefix_util.Bigio.t -> f:(Event.t -> unit) ->
+  (unit, string) result
+(** Strict v1/v2 decode of a whole container region: [f] is called once
+    per event, no trace is materialized, and no payload is copied.
+    Stops at the first corruption; an empty region reports
     ["empty or truncated file (offset N)"].  For v2 input [on_frame]
     fires after each frame's events (never for v1) — the streaming
     engine uses it to cut segments exactly at frame boundaries. *)
 
-val iter_file :
-  ?on_frame:(unit -> unit) -> string -> f:(Event.t -> unit) -> (unit, string) result
-(** {!iter_channel} over a freshly opened binary file (always closed).
-    Raises [Sys_error] if the file cannot be opened. *)
-
-val file_version : string -> (int, string) result
-(** Sniff a file's container version (magic + version varint only):
-    1/2 are the formats decoded here, {!Columnar.version_columnar} is
-    the columnar container.  [Error] on bad magic or truncation; raises
-    [Sys_error] if the file cannot be opened. *)
-
-(** {2 Zero-copy (mmap) strict decode}
-
-    Twins of {!iter_channel} running over a {!Prefix_util.Bigio.t}
-    mapping of the whole container: the frame walk, CRC checks and
-    event decode read straight from the mapped region — no channel and
-    no payload copy.  Same events, same rejections as the channel
-    path (differentially tested). *)
-
-val iter_big :
-  ?on_frame:(unit -> unit) -> Prefix_util.Bigio.t -> f:(Event.t -> unit) ->
-  (unit, string) result
-(** Strict v1/v2 decode over a mapped container; [on_frame] fires after
-    each v2 frame's events, exactly like {!iter_channel}. *)
-
 val big_version : Prefix_util.Bigio.t -> (int, string) result
-(** {!file_version} over an already-loaded mapping. *)
+(** Sniff a container's version (magic + version varint only): 1/2 are
+    the formats decoded here, {!Columnar.version_columnar} is the
+    columnar container.  [Error] on bad magic or truncation. *)
+
+(** {2 The shared frame walk}
+
+    After the header, v2 and v3 containers are the same skeleton:
+    frames of (["FRME"], event count, cumulative event count, payload
+    length, CRC32 of the payload, payload) and one footer of (["FEND"],
+    frame count, event count, CRC32 of those two varints).  The walks
+    below check that skeleton and hand each CRC-verified payload —
+    bytes [\[pos, pos + plen)] of the region, holding [events] events —
+    to a per-format [frame] callback.
+
+    {b Error contract} of the strict walk, in the order checked: a
+    missing footer (["truncated file (missing footer) at offset N"],
+    [N] the region length), a bad marker, an implausible payload length
+    or event count, a cumulative count other than the events decoded so
+    far, a truncated checksum or payload, a frame CRC mismatch, then
+    the callback's own [Error]; at the footer, a footer CRC mismatch,
+    totals that disagree with the stream, or trailing bytes.  Frame
+    offsets are the offset of the frame's marker. *)
+
+val header : Prefix_util.Bigio.t -> (cursor * int, string) result
+(** Check the magic and read the version varint; the cursor is left on
+    the body (the first frame, or the v1 event count). *)
+
+val walk_frames :
+  cursor ->
+  frame:(frame_off:int -> pos:int -> plen:int -> events:int -> (unit, string) result) ->
+  (unit, string) result
+(** Strict walk from [cursor] to the footer, which must end the region.
+    [frame_off] is the offset of the frame's marker. *)
+
+type walk_report = {
+  lost : lost_range list;  (** ascending, non-overlapping *)
+  frames_ok : int;
+  frames_skipped : int;  (** resynchronization count *)
+  total_events : int option;  (** footer total, when a valid footer was found *)
+}
+
+val walk_frames_lenient :
+  cursor ->
+  frame:(frame_off:int -> pos:int -> plen:int -> events:int -> ('a, string) result) ->
+  keep:('a -> unit) ->
+  walk_report
+(** Best-effort walk: a frame whose header, CRC or [frame] decode fails
+    is skipped by scanning byte by byte for the next marker, as is a
+    frame whose cumulative count lies before events already kept.  A
+    decoded frame is passed to [keep] at once (before the next [frame]
+    call), in stream order; cumulative counts pin the lost ranges.
+    Anything after the first valid footer is ignored. *)

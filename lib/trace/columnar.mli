@@ -9,9 +9,12 @@
     flags) column per field.  See [doc/columnar.md] for the exact
     byte layout.
 
-    Because the frame machinery is shared, crash safety (truncation is
-    detected by the footer), strict rejection of corruption, and
-    marker-resync lenient recovery all behave exactly as for v2; and
+    The frame machinery is not just the same format but the same code:
+    {!Binfmt.walk_frames} and {!Binfmt.walk_frames_lenient} walk v3
+    containers too, with this module's payload decoder as their frame
+    callback.  So crash safety (truncation is detected by the footer),
+    strict rejection of corruption (same messages, see {!Binfmt}) and
+    marker-resync lenient recovery behave exactly as for v2; and
     {!Stream.of_binary_file} cuts stream segments at frame boundaries
     for either container.
 
@@ -61,13 +64,16 @@ val write_file : ?frame_events:int -> string -> Packed.t -> unit
 (** {2 Strict decode} *)
 
 val read : bytes -> (Packed.t, string) result
-(** Decode a whole container; [Error] on bad magic/version, any CRC or
-    footer mismatch, and on every structural violation inside a frame
-    payload (tag/thread runs that disagree with the event count, site
-    indices outside the dictionary, column bytes left over or missing).
-    Never raises on arbitrary input. *)
+(** Decode a whole container (one copy into a bigstring, then
+    {!iter_big}); [Error] on bad magic/version, any CRC or footer
+    mismatch, and on every structural violation inside a frame payload
+    (tag/thread runs that disagree with the event count, site indices
+    outside the dictionary, column bytes left over or missing).  Never
+    raises on arbitrary input. *)
 
 val read_file : string -> (Packed.t, string) result
+(** {!read} over a mapping of the file; raises [Sys_error] if the file
+    cannot be opened. *)
 
 (** {2 Lenient decode} *)
 
@@ -88,6 +94,7 @@ val read_lenient : bytes -> (lenient, string) result
     header itself is unusable. *)
 
 val read_file_lenient : string -> (lenient, string) result
+(** {!read_lenient} over a mapping of the file. *)
 
 val lenient_events_lost : lenient -> int
 
@@ -100,22 +107,12 @@ type decoder
 
 val decoder_create : unit -> decoder
 
-val iter_channel :
-  ?decoder:decoder -> in_channel -> f:(Packed.t -> unit) -> (unit, string) result
-(** Strict frame-at-a-time walk: [f] receives each frame as a packed
-    view {e sharing the decoder scratch} — valid only for the duration
-    of the call, never to be retained.  O(frame) memory; same errors
-    as {!read}. *)
-
-val iter_file :
-  ?decoder:decoder -> string -> f:(Packed.t -> unit) -> (unit, string) result
-(** {!iter_channel} over a freshly opened file (always closed); raises
-    [Sys_error] if the file cannot be opened. *)
-
 val iter_big :
   ?decoder:decoder -> Prefix_util.Bigio.t -> f:(Packed.t -> unit) ->
   (unit, string) result
-(** {!iter_channel} over an mmapped container ({!Prefix_util.Bigio}):
-    markers, CRCs and column bytes all read straight from the mapping —
-    no channel, no payload copy.  Same validation, same errors, and the
-    same scratch-sharing contract for the frames handed to [f]. *)
+(** Strict frame-at-a-time walk over a container region
+    ({!Prefix_util.Bigio}): markers, CRCs and column bytes all read
+    straight from it, no payload copy.  [f] receives each frame as a
+    packed view {e sharing the decoder scratch} — valid only for the
+    duration of the call, never to be retained.  O(frame) scratch; same
+    errors as {!read}. *)

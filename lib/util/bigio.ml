@@ -38,8 +38,8 @@ let read_into_big fd size : t =
 
 let load ?(mmap = true) path : t =
   let fd =
-    (* [Sys_error], matching what [open_in_bin] raises on the channel
-       decode path, so backends fail identically on a missing file. *)
+    (* [Sys_error], the exception [open_in_bin] raises, so a missing
+       trace fails the same way whichever reader opens it. *)
     try Unix.openfile path [ Unix.O_RDONLY ] 0
     with Unix.Unix_error (e, _, _) ->
       raise (Sys_error (path ^ ": " ^ Unix.error_message e))
@@ -62,10 +62,10 @@ let sub_string (b : t) ~pos ~len =
     invalid_arg "Bigio.sub_string";
   String.init len (fun i -> Bigarray.Array1.unsafe_get b (pos + i))
 
-let to_bytes (b : t) =
-  let n = length b in
-  let out = Bytes.create n in
+let of_bytes data : t =
+  let n = Bytes.length data in
+  let b = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n in
   for i = 0 to n - 1 do
-    Bytes.unsafe_set out i (Bigarray.Array1.unsafe_get b i)
+    Bigarray.Array1.unsafe_set b i (Bytes.unsafe_get data i)
   done;
-  out
+  b

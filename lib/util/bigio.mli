@@ -28,7 +28,6 @@ val unsafe_get : t -> int -> char
 val sub_string : t -> pos:int -> len:int -> string
 (** Raises [Invalid_argument] when the slice is out of bounds. *)
 
-val to_bytes : t -> bytes
-(** Copy the whole region into fresh [bytes] — used by the lenient
-    (corruption-recovery) decode path, which is rare and not worth a
-    bigstring twin. *)
+val of_bytes : bytes -> t
+(** Copy [bytes] into a fresh bigstring — how the decoders' [bytes]
+    entry points reach the one region-based decode path. *)

@@ -396,6 +396,46 @@ let test_durable_foreign_collector_layout () =
     in
     Alcotest.(check bool) ("refused: " ^ msg) true (contains 0)
 
+(* Finished policy outcomes record their layout too: a policy-*.done
+   whose layout is not this build's — forged by rewriting the recorded
+   layout, as a build with another [Executor.outcome] would have
+   written it — is refused, never unmarshalled. *)
+let test_durable_foreign_outcome_layout () =
+  let wl = Registry.find "libc" in
+  with_temp_dir @@ fun dir ->
+  let cfg = durable_cfg ~dir in
+  ignore (Durable.run_benchmark cfg wl);
+  let bdir = Filename.concat dir wl.name in
+  let done_files =
+    Sys.readdir bdir |> Array.to_list
+    |> List.filter (fun f ->
+           String.length f > 7 && String.sub f 0 7 = "policy-"
+           && Filename.check_suffix f ".done")
+  in
+  Alcotest.(check int) "one finished outcome per policy" 7 (List.length done_files);
+  let path = Filename.concat bdir (List.hd done_files) in
+  (match Checkpoint.load_file path with
+  | Error e -> Alcotest.fail (path ^ ": " ^ e)
+  | Ok (h, payload) ->
+    Alcotest.(check (option string)) "outcome records the layout"
+      (Some Executor.outcome_layout)
+      (List.assoc_opt "outcome_layout" h.meta);
+    let meta =
+      List.map
+        (fun (k, v) -> if k = "outcome_layout" then (k, "0") else (k, v))
+        h.meta
+    in
+    Checkpoint.save ~path { h with meta } ~payload);
+  match Durable.run_benchmark cfg wl with
+  | _ -> Alcotest.fail "read a foreign outcome layout"
+  | exception Failure msg ->
+    let needle = "outcome snapshot does not match this binary" in
+    let rec contains i =
+      i + String.length needle <= String.length msg
+      && (String.sub msg i (String.length needle) = needle || contains (i + 1))
+    in
+    Alcotest.(check bool) ("refused: " ^ msg) true (contains 0)
+
 let suite =
   [ ( "checkpoint",
       [ Alcotest.test_case "session snapshot roundtrips mid-replay" `Quick
@@ -418,4 +458,6 @@ let suite =
         Alcotest.test_case "refuses a foreign directory" `Quick
           test_durable_refuses_foreign_directory;
         Alcotest.test_case "foreign collector layout" `Quick
-          test_durable_foreign_collector_layout ] ) ]
+          test_durable_foreign_collector_layout;
+        Alcotest.test_case "foreign outcome layout" `Quick
+          test_durable_foreign_outcome_layout ] ) ]

@@ -3,16 +3,19 @@
    - [Bigio]: mapped and read-fallback loads are byte-identical, empty
      files yield the empty region, slicing is bounds-checked;
    - differential decode: for every container version (v1, v2, v3) the
-     bigstring decoders ([Binfmt.iter_big], [Columnar.iter_big], the
-     [`Mmap] stream backend) observe exactly the events, frame cuts,
-     strict rejections and lenient lost ranges of the channel decoders
-     — on clean files, qcheck event soup and corrupted bytes alike;
+     region decoders ([Binfmt.iter_big], [Columnar.iter_big],
+     [Stream.of_binary_file]) observe exactly the events, frame cuts
+     and strict rejections of the channel decoders kept in
+     [Container_oracle], and the lenient readers the kept events, lost
+     ranges and frame counts of its bytes lenient walkers — on clean
+     files, qcheck event soup and corrupted bytes alike;
    - pipeline equivalence: [Stream.prefetched] emits its inner
      stream's exact segment sequence and [Executor.run_stream_many]
      matches per-policy [Executor.run_stream] outcome-for-outcome. *)
 
 open Prefix_trace
 module Bigio = Prefix_util.Bigio
+module Oracle = Container_oracle
 module Executor = Prefix_runtime.Executor
 module Policy = Prefix_runtime.Policy
 
@@ -36,6 +39,8 @@ let with_file data k =
 
 (* ---- Bigio ---- *)
 
+let bigio_bytes (b : Bigio.t) = Bytes.init (Bigio.length b) (Bigio.get b)
+
 let test_bigio_load_equivalence () =
   let data = Binfmt.to_bytes_framed (workload_trace ()) in
   with_file data (fun path ->
@@ -43,8 +48,8 @@ let test_bigio_load_equivalence () =
       let copied = Bigio.load ~mmap:false path in
       Alcotest.(check int) "mapped length" (Bytes.length data) (Bigio.length mapped);
       Alcotest.(check int) "copied length" (Bytes.length data) (Bigio.length copied);
-      Alcotest.(check bytes) "mapped bytes" data (Bigio.to_bytes mapped);
-      Alcotest.(check bytes) "copied bytes" data (Bigio.to_bytes copied))
+      Alcotest.(check bytes) "mapped bytes" data (bigio_bytes mapped);
+      Alcotest.(check bytes) "copied bytes" data (bigio_bytes copied))
 
 let test_bigio_empty () =
   with_file Bytes.empty (fun path ->
@@ -72,7 +77,7 @@ let test_bigio_missing_file () =
   | _ -> Alcotest.fail "loaded a nonexistent file"
   | exception Sys_error _ -> ()
 
-(* ---- differential decode: channel vs mapping ---- *)
+(* ---- differential decode: channel oracle vs region decoders ---- *)
 
 (* Collect what a v1/v2 decode observes, tagging frame cuts, so the
    comparison covers segmentation, not just the event list. *)
@@ -81,7 +86,7 @@ type obs = Ev of Event.t | Frame
 let binfmt_channel_obs path =
   let acc = ref [] in
   let r =
-    Binfmt.iter_file ~on_frame:(fun () -> acc := Frame :: !acc) path
+    Oracle.Binfmt.iter_file ~on_frame:(fun () -> acc := Frame :: !acc) path
       ~f:(fun e -> acc := Ev e :: !acc)
   in
   (r, List.rev !acc)
@@ -119,8 +124,8 @@ let test_big_version () =
       with_file data (fun path ->
           Alcotest.(check (result int string)) what (Ok version)
             (Binfmt.big_version (Bigio.load path));
-          Alcotest.(check (result int string)) (what ^ " = file_version")
-            (Binfmt.file_version path)
+          Alcotest.(check (result int string)) (what ^ " = channel sniff")
+            (Oracle.Binfmt.file_version path)
             (Binfmt.big_version (Bigio.load path))))
     [ ("v1", Binfmt.to_bytes trace, Binfmt.version);
       ("v2", Binfmt.to_bytes_framed trace, Binfmt.version_framed);
@@ -130,7 +135,7 @@ let test_big_version () =
 
 let columnar_channel_frames path =
   let acc = ref [] in
-  let r = Columnar.iter_file path ~f:(fun p -> acc := Packed.to_trace p :: !acc) in
+  let r = Oracle.Columnar.iter_file path ~f:(fun p -> acc := Packed.to_trace p :: !acc) in
   (r, List.rev_map Trace.to_list !acc)
 
 let columnar_big_frames big =
@@ -240,24 +245,199 @@ let unsigned_soup_gen =
     in
     list_size (int_range 0 300) ev)
 
-let prop_stream_backends_agree =
-  QCheck.Test.make ~name:"stream `Mmap backend ≡ `Channel backend (v2 and v3)"
+(* The segments [Stream.of_binary_file] cut, rebuilt over the channel
+   oracle: v1/v2 events go through a refill buffer flushed at every
+   frame, v3 frames pass whole when they fit an empty buffer and are
+   blitted in otherwise. *)
+let oracle_segments ~segment_events path =
+  let acc = ref [] in
+  let base = ref 0 in
+  let emit seg =
+    acc := (!base, Trace.to_list (Packed.to_trace seg)) :: !acc;
+    base := !base + Packed.length seg
+  in
+  let buf = Packed.Buf.create segment_events in
+  let flush () =
+    if Packed.Buf.length buf > 0 then begin
+      emit (Packed.Buf.view buf);
+      Packed.Buf.clear buf
+    end
+  in
+  let on_columnar_frame frame =
+    let n = Packed.length frame in
+    if n <= segment_events && Packed.Buf.length buf = 0 then emit frame
+    else begin
+      let pos = ref 0 in
+      while !pos < n do
+        let len = min (segment_events - Packed.Buf.length buf) (n - !pos) in
+        Packed.Buf.blit_packed buf frame ~pos:!pos ~len;
+        pos := !pos + len;
+        if Packed.Buf.is_full buf then flush ()
+      done;
+      flush ()
+    end
+  in
+  let on_event e =
+    Packed.Buf.add buf e;
+    if Packed.Buf.is_full buf then flush ()
+  in
+  let r =
+    match Oracle.Binfmt.file_version path with
+    | Error _ as e -> e
+    | Ok v when v = Columnar.version_columnar ->
+      Oracle.Columnar.iter_file path ~f:on_columnar_frame
+    | Ok _ -> Oracle.Binfmt.iter_file path ~on_frame:flush ~f:on_event
+  in
+  Result.map (fun () -> flush (); List.rev !acc) r
+
+let prop_stream_segments_match_oracle =
+  QCheck.Test.make ~name:"stream segments ≡ channel-oracle segments (v2 and v3)"
     ~count:120 (QCheck.make unsigned_soup_gen)
     (fun es ->
       let trace = Trace.of_list es in
       let same data =
         with_file data (fun path ->
-            let segs backend =
-              let acc = ref [] in
-              Stream.iter_segments
-                (Stream.of_binary_file ~segment_events:64 ~backend path)
-                (fun ~base seg -> acc := (base, Trace.to_list (Packed.to_trace seg)) :: !acc);
-              List.rev !acc
-            in
-            segs `Mmap = segs `Channel)
+            let acc = ref [] in
+            Stream.iter_segments
+              (Stream.of_binary_file ~segment_events:64 path)
+              (fun ~base seg -> acc := (base, Trace.to_list (Packed.to_trace seg)) :: !acc);
+            Ok (List.rev !acc) = oracle_segments ~segment_events:64 path)
       in
       same (Binfmt.to_bytes_framed ~frame_events:48 trace)
       && same (Columnar.to_bytes ~frame_events:48 (Packed.of_trace trace)))
+
+(* ---- lenient decode: region walk vs bytes oracle ---- *)
+
+(* Everything a lenient read reports, in comparable form. *)
+let binfmt_lenient_obs = function
+  | Error e -> Error e
+  | Ok (l : Binfmt.lenient) ->
+    Ok
+      ( Trace.to_list l.lr_trace,
+        List.map (fun (r : Binfmt.lost_range) -> (r.lost_from, r.lost_to)) l.lr_lost,
+        (l.lr_frames_ok, l.lr_frames_skipped, l.lr_total_events) )
+
+let columnar_lenient_obs = function
+  | Error e -> Error e
+  | Ok (l : Columnar.lenient) ->
+    Ok
+      ( Trace.to_list (Packed.to_trace l.cl_packed),
+        List.map (fun (r : Binfmt.lost_range) -> (r.lost_from, r.lost_to)) l.cl_lost,
+        (l.cl_frames_ok, l.cl_frames_skipped, l.cl_total_events) )
+
+let prop_binfmt_lenient_differential =
+  let base = Binfmt.to_bytes_framed ~frame_events:32 (workload_trace ()) in
+  QCheck.Test.make ~name:"binfmt lenient region decode ≡ bytes lenient oracle"
+    ~count:300
+    (QCheck.make (corrupt_gen base))
+    (fun c ->
+      let data = corrupted base c in
+      let oracle = binfmt_lenient_obs (Oracle.Binfmt.read_lenient data) in
+      binfmt_lenient_obs (Binfmt.read_lenient data) = oracle
+      && with_file data (fun path ->
+             binfmt_lenient_obs (Binfmt.read_file_lenient path) = oracle))
+
+let prop_columnar_lenient_differential =
+  let base =
+    Columnar.to_bytes ~frame_events:32 (Packed.of_trace (workload_trace ()))
+  in
+  QCheck.Test.make ~name:"columnar lenient region decode ≡ bytes lenient oracle"
+    ~count:300
+    (QCheck.make (corrupt_gen base))
+    (fun c ->
+      let data = corrupted base c in
+      let oracle = columnar_lenient_obs (Oracle.Columnar.read_lenient data) in
+      columnar_lenient_obs (Columnar.read_lenient data) = oracle
+      && with_file data (fun path ->
+             columnar_lenient_obs (Columnar.read_file_lenient path) = oracle))
+
+(* ---- payload corruption behind a valid CRC ---- *)
+
+(* Payload offset, length and CRC offset of every frame of a clean
+   container.  Header varints are read by hand: the test walks the
+   skeleton independently of the decoders under test. *)
+let frame_payloads data =
+  let uvarint pos =
+    let rec go p shift acc =
+      let b = Char.code (Bytes.get data p) in
+      let acc = acc lor ((b land 0x7f) lsl shift) in
+      if b land 0x80 = 0 then (acc, p + 1) else go (p + 1) (shift + 7) acc
+    in
+    go pos 0 0
+  in
+  let rec walk p acc =
+    if Bytes.sub_string data p 4 <> Binfmt.frame_marker then List.rev acc
+    else begin
+      let _, p = uvarint (p + 4) in
+      let _, p = uvarint p in
+      let plen, crc_at = uvarint p in
+      walk (crc_at + 4 + plen) ((crc_at + 4, plen, crc_at) :: acc)
+    end
+  in
+  walk 5 [] (* past the magic and the one-byte version *)
+
+(* Flip bytes inside one frame's payload, then re-seal its CRC, so the
+   corruption reaches the payload decoder instead of the CRC check. *)
+let resealed base (k, flips) =
+  let data = Bytes.copy base in
+  let frames = frame_payloads base in
+  let pos, plen, crc_at = List.nth frames (k mod List.length frames) in
+  List.iter
+    (fun (off, v) -> Bytes.set data (pos + (off mod plen)) (Char.chr v))
+    flips;
+  let crc = Prefix_util.Crc32.sub_bytes data ~pos ~len:plen in
+  for i = 0 to 3 do
+    Bytes.set data (crc_at + i) (Char.chr ((crc lsr (8 * i)) land 0xff))
+  done;
+  data
+
+let reseal_gen =
+  QCheck.Gen.(
+    pair (int_range 0 10_000)
+      (list_size (int_range 1 4) (pair (int_range 0 100_000) (int_range 0 255))))
+
+let prop_binfmt_resealed_differential =
+  let base = Binfmt.to_bytes_framed ~frame_events:32 (workload_trace ()) in
+  QCheck.Test.make
+    ~name:"binfmt strict and lenient ≡ oracles on CRC-valid payload corruption"
+    ~count:250 (QCheck.make reseal_gen)
+    (fun c ->
+      let data = resealed base c in
+      with_file data (fun path ->
+          binfmt_channel_obs path = binfmt_big_obs (Bigio.load path)
+          && binfmt_lenient_obs (Binfmt.read_lenient data)
+             = binfmt_lenient_obs (Oracle.Binfmt.read_lenient data)))
+
+let prop_columnar_resealed_differential =
+  let base =
+    Columnar.to_bytes ~frame_events:32 (Packed.of_trace (workload_trace ()))
+  in
+  QCheck.Test.make
+    ~name:"columnar strict and lenient ≡ oracles on CRC-valid payload corruption"
+    ~count:250 (QCheck.make reseal_gen)
+    (fun c ->
+      let data = resealed base c in
+      with_file data (fun path ->
+          columnar_channel_frames path = columnar_big_frames (Bigio.load path)
+          && columnar_lenient_obs (Columnar.read_lenient data)
+             = columnar_lenient_obs (Oracle.Columnar.read_lenient data)))
+
+(* Offsets in a v2 payload error are payload-relative, as the channel
+   decoder, which decodes each payload from its own buffer, reports
+   them. *)
+let test_binfmt_payload_error_offset () =
+  let base =
+    Binfmt.to_bytes_framed ~frame_events:4
+      (Trace.of_list (List.init 8 (fun i -> Event.Compute { instrs = i; thread = 0 })))
+  in
+  (* The second frame's first tag byte becomes 9. *)
+  let data = resealed base (1, [ (0, 9) ]) in
+  let expected = Error "unknown tag 9 at offset 0" in
+  Alcotest.(check (result unit string)) "region decode" expected
+    (Result.map ignore (Binfmt.read data));
+  with_file data (fun path ->
+      Alcotest.(check (result unit string)) "channel oracle" expected
+        (Oracle.Binfmt.iter_file path ~f:ignore))
 
 (* ---- pipeline equivalence ---- *)
 
@@ -383,7 +563,13 @@ let suite =
           test_columnar_big_clean;
         QCheck_alcotest.to_alcotest prop_binfmt_big_differential;
         QCheck_alcotest.to_alcotest prop_columnar_big_differential;
-        QCheck_alcotest.to_alcotest prop_stream_backends_agree ] );
+        QCheck_alcotest.to_alcotest prop_stream_segments_match_oracle;
+        QCheck_alcotest.to_alcotest prop_binfmt_lenient_differential;
+        QCheck_alcotest.to_alcotest prop_columnar_lenient_differential;
+        QCheck_alcotest.to_alcotest prop_binfmt_resealed_differential;
+        QCheck_alcotest.to_alcotest prop_columnar_resealed_differential;
+        Alcotest.test_case "v2 payload errors give payload offsets" `Quick
+          test_binfmt_payload_error_offset ] );
     ( "replay-pipeline",
       [ Alcotest.test_case "prefetched emits identical segments" `Quick
           test_prefetched_segments;
