@@ -23,13 +23,6 @@
    peak heap for both, and write BENCH_stream.json; exits non-zero if
    the outcomes ever differ.
 
-   And `columnar [--benches a,b] [--scale long|huge] [--out FILE]`:
-   spool each benchmark's evaluation trace to disk as a framed v2 and a
-   columnar v3 container, time a full decode+replay pass from each,
-   print events/s and bytes/event, and write BENCH_columnar.json; exits
-   non-zero if either streamed outcome differs from the materialized
-   packed replay.
-
    And `telemetry [--benches a,b] [--out FILE]`: replay each benchmark's
    Long-scale trace with the continuous flight recorder off and on, in
    samples of at least 200 ms, print the throughput cost of telemetry,
@@ -389,126 +382,6 @@ let run_stream_bench ~benches ~scale ~out =
   Printf.printf "wrote %s\n" out;
   if not !all_equal then begin
     prerr_endline "bench: streamed and materialized replay outcomes differ";
-    exit 1
-  end
-
-(* Columnar container comparison: spool each benchmark's evaluation
-   trace to disk twice — framed v2 and columnar v3 — then time a full
-   decode+replay pass ([Executor.run_stream] over
-   [Stream.of_binary_file]) from each container, reporting events/s and
-   bytes/event.  Differential: both streamed outcomes must be
-   structurally identical to [Executor.run_packed] on the materialized
-   trace, and any divergence fails the run. *)
-let run_columnar_bench ~benches ~scale ~out =
-  let module Stream = Prefix_trace.Stream in
-  let module Packed = Prefix_trace.Packed in
-  let module Executor = Prefix_runtime.Executor in
-  let module Policy = Prefix_runtime.Policy in
-  let costs = Executor.default_config.costs in
-  let reps = 15 in
-  let time_ns f =
-    (* Best of [reps] after one warmup (deterministic replays; min is
-       the least-noise estimator). *)
-    ignore (f ());
-    let best = ref Int64.max_int in
-    for _ = 1 to reps do
-      let t0 = Prefix_obs.Clock.now_ns () in
-      ignore (f ());
-      let dt = Int64.sub (Prefix_obs.Clock.now_ns ()) t0 in
-      if dt < !best then best := dt
-    done;
-    Int64.to_float !best /. 1e9
-  in
-  let file_size path = (Unix.stat path).Unix.st_size in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    ("{\n"
-    ^ provenance_json ~reps ~scale:(Prefix_workloads.Workload.scale_name scale)
-    ^ "  \"benches\": [");
-  let all_equal = ref true in
-  let speedups = ref [] in
-  Printf.printf
-    "=== columnar (v3) vs framed (v2) container: decode+replay (%s scale) ===\n"
-    (Prefix_workloads.Workload.scale_name scale);
-  Printf.printf "%-10s %10s %12s %12s %8s %7s %7s  %s\n" "bench" "events"
-    "v2 ev/s" "v3 ev/s" "speedup" "v2 B/ev" "v3 B/ev" "metrics";
-  List.iteri
-    (fun bi name ->
-      let wl = Prefix_workloads.Registry.find name in
-      let packed =
-        Stream.to_packed (Prefix_workloads.Workload.generate_stream wl ~scale ~seed:8 ())
-      in
-      let events = Packed.length packed in
-      let policy heap = Policy.baseline costs heap in
-      let reference = Executor.run_packed ~policy packed in
-      let v2_path = Filename.temp_file ("prefix-" ^ name ^ "-v2-") ".pfxt" in
-      let v3_path = Filename.temp_file ("prefix-" ^ name ^ "-v3-") ".pfxt" in
-      Fun.protect
-        ~finally:(fun () ->
-          (try Sys.remove v2_path with Sys_error _ -> ());
-          try Sys.remove v3_path with Sys_error _ -> ())
-        (fun () ->
-          Prefix_trace.Binfmt.write_file_framed v2_path (Packed.to_trace packed);
-          Prefix_trace.Columnar.write_file v3_path packed;
-          (* One re-iterable stream per container, reused across reps —
-             the production pattern (the harness replays one spooled
-             file once per policy), so per-pass figures exclude the
-             one-time segment-buffer/decoder setup. *)
-          let v2_stream = Stream.of_binary_file v2_path in
-          let v3_stream = Stream.of_binary_file v3_path in
-          let replay_stream s = Executor.run_stream ~policy s in
-          let check what (o : Executor.outcome) =
-            let equal =
-              o.Executor.metrics = reference.Executor.metrics
-              && o.Executor.recovery = reference.Executor.recovery
-            in
-            if not equal then begin
-              all_equal := false;
-              Printf.eprintf "bench: %s: %s replay diverges from run_packed\n" name what
-            end;
-            equal
-          in
-          let eq_v2 = check "v2" (replay_stream v2_stream) in
-          let eq_v3 = check "v3" (replay_stream v3_stream) in
-          let t_v2 = time_ns (fun () -> replay_stream v2_stream) in
-          let t_v3 = time_ns (fun () -> replay_stream v3_stream) in
-          let rate t = if t > 0. then float_of_int events /. t else 0. in
-          let speedup = if t_v3 > 0. then t_v2 /. t_v3 else 0. in
-          speedups := speedup :: !speedups;
-          let bpe path =
-            if events > 0 then float_of_int (file_size path) /. float_of_int events
-            else 0.
-          in
-          Printf.printf "%-10s %10d %12.0f %12.0f %7.2fx %7.2f %7.2f  %s\n" name
-            events (rate t_v2) (rate t_v3) speedup (bpe v2_path) (bpe v3_path)
-            (if eq_v2 && eq_v3 then "identical" else "MISMATCH");
-          if bi > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf
-            (Printf.sprintf
-               "\n    { \"bench\": %S, \"events\": %d, \
-                \"v2_events_per_sec\": %.0f, \"v3_events_per_sec\": %.0f, \
-                \"speedup\": %.3f, \
-                \"v2_bytes\": %d, \"v3_bytes\": %d, \
-                \"v2_bytes_per_event\": %.3f, \"v3_bytes_per_event\": %.3f, \
-                \"metrics_equal\": %b }"
-               name events (rate t_v2) (rate t_v3) speedup (file_size v2_path)
-               (file_size v3_path) (bpe v2_path) (bpe v3_path) (eq_v2 && eq_v3))))
-    benches;
-  let geomean =
-    match !speedups with
-    | [] -> 1.
-    | ss ->
-      exp (List.fold_left (fun a s -> a +. log (max 1e-9 s)) 0. ss
-           /. float_of_int (List.length ss))
-  in
-  Buffer.add_string buf
-    (Printf.sprintf " ],\n  \"geomean_speedup\": %.3f,\n  \"all_equal\": %b\n}\n"
-       geomean !all_equal);
-  Prefix_util.Fsio.atomic_write_string out (Buffer.contents buf);
-  Printf.printf "geomean decode+replay speedup %.2fx over %d benches; wrote %s\n"
-    geomean (List.length !speedups) out;
-  if not !all_equal then begin
-    prerr_endline "bench: containerized replay outcomes differ from run_packed";
     exit 1
   end
 
@@ -1137,29 +1010,6 @@ let () =
         ~scale:Prefix_workloads.Workload.Long ~out:"BENCH_stream.json" rest
     in
     run_stream_bench ~benches ~scale ~out
-  | "columnar" :: rest ->
-    let rec parse ~benches ~scale ~out = function
-      | "--benches" :: bs :: rest ->
-        parse ~benches:(String.split_on_char ',' bs) ~scale ~out rest
-      | "--scale" :: s :: rest -> (
-        match s with
-        | "profiling" -> parse ~benches ~scale:Prefix_workloads.Workload.Profiling ~out rest
-        | "long" -> parse ~benches ~scale:Prefix_workloads.Workload.Long ~out rest
-        | "huge" -> parse ~benches ~scale:Prefix_workloads.Workload.Huge ~out rest
-        | _ ->
-          Printf.eprintf "bench: columnar: unknown scale %S\n" s;
-          exit 2)
-      | "--out" :: f :: rest -> parse ~benches ~scale ~out:f rest
-      | [] -> (benches, scale, out)
-      | a :: _ ->
-        Printf.eprintf "bench: columnar: unknown argument %S\n" a;
-        exit 2
-    in
-    let benches, scale, out =
-      parse ~benches:Prefix_workloads.Registry.names
-        ~scale:Prefix_workloads.Workload.Long ~out:"BENCH_columnar.json" rest
-    in
-    run_columnar_bench ~benches ~scale ~out
   | "pipeline" :: rest ->
     let rec parse ~benches ~scale ~out = function
       | "--benches" :: bs :: rest ->
@@ -1241,6 +1091,6 @@ let () =
           Printf.printf "unknown experiment %S; available: %s, micro\n" id
             (String.concat ", " (List.map (fun (e : R.experiment) -> e.id) R.all
                                   @ [ "csv"; "reps"; "throughput"; "stream";
-                                      "columnar"; "pipeline"; "block";
+                                      "pipeline"; "block";
                                       "telemetry"; "checkpoint" ])))
       ids

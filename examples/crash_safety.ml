@@ -2,7 +2,7 @@
    kill-then-resume durable runs.
 
    Three acts:
-   1. Write a trace in the framed (v2) binary format, flip one byte,
+   1. Write a trace as a columnar (v3) container, flip one byte,
       and watch the strict reader reject it while the lenient reader
       recovers everything except the corrupted frame — reporting the
       exact event range that was lost.
@@ -17,6 +17,8 @@
    Run with:  dune exec examples/crash_safety.exe *)
 
 module Binfmt = Prefix_trace.Binfmt
+module Columnar = Prefix_trace.Columnar
+module Packed = Prefix_trace.Packed
 module Trace = Prefix_trace.Trace
 module Sanitizer = Prefix_trace.Sanitizer
 module Workload = Prefix_workloads.Workload
@@ -35,26 +37,26 @@ let () =
   let trace = wl.generate ~scale:Workload.Profiling ~seed:7 () in
 
   (* --- Act 1: one flipped byte in a framed trace ------------------- *)
-  let data = Binfmt.to_bytes_framed ~frame_events:4096 trace in
-  Printf.printf "framed v2 encoding: %d events in %d bytes\n"
+  let data = Columnar.to_bytes ~frame_events:4096 (Packed.of_trace trace) in
+  Printf.printf "columnar v3 encoding: %d events in %d bytes\n"
     (Trace.length trace) (Bytes.length data);
   let pos = Bytes.length data / 2 in
   Bytes.set data pos (Char.chr (Char.code (Bytes.get data pos) lxor 0x10));
-  (match Binfmt.read data with
+  (match Columnar.read data with
   | Ok _ -> assert false
   | Error e -> Printf.printf "strict reader: rejected (%s)\n" e);
   let lenient =
-    match Binfmt.read_lenient data with Ok l -> l | Error e -> failwith e
+    match Columnar.read_lenient data with Ok l -> l | Error e -> failwith e
   in
   Printf.printf "lenient reader: %d/%d events recovered, %d frame(s) skipped\n"
-    (Trace.length lenient.lr_trace)
-    (Trace.length trace) lenient.lr_frames_skipped;
+    (Packed.length lenient.cl_packed)
+    (Trace.length trace) lenient.cl_frames_skipped;
   List.iter
     (fun r -> Format.printf "  lost %a@." Binfmt.pp_lost_range r)
-    lenient.lr_lost;
+    lenient.cl_lost;
 
   (* --- Act 2: repair the hole -------------------------------------- *)
-  let repaired, report = Sanitizer.sanitize lenient.lr_trace in
+  let repaired, report = Sanitizer.sanitize (Packed.to_trace lenient.cl_packed) in
   Printf.printf
     "sanitizer: %d dropped, %d synthesized, %d rewritten -> strict replay: "
     report.dropped report.synthesized report.rewritten;

@@ -73,9 +73,8 @@ let config_digest () =
           []))
 
 let trace_digest profiling_trace =
-  let buf = Buffer.create 4096 in
-  Prefix_trace.Binfmt.write buf profiling_trace;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  Digest.to_hex
+    (Digest.bytes (Prefix_trace.Columnar.to_bytes (Packed.of_trace profiling_trace)))
 
 let meta_of cfg (wl : Workload.t) ~digest =
   [ ("bench", wl.name);

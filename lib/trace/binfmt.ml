@@ -1,9 +1,12 @@
+(* The frame envelope of the on-disk trace container: magic, version,
+   checksummed frames, checksummed footer.  The payload codec is the
+   caller's ({!Columnar}); this module writes and walks the frames
+   around it. *)
+
 module Crc32 = Prefix_util.Crc32
 module Bigio = Prefix_util.Bigio
 
 let magic = "PFXT"
-let version = 1
-let version_framed = 2
 let frame_marker = "FRME"
 let footer_marker = "FEND"
 let default_frame_events = 1 lsl 16
@@ -84,188 +87,6 @@ let get_u32le c =
     Ok v
   end
 
-(* --- encoding --- *)
-
-type state = { mutable obj : int; mutable site : int; mutable ctx : int }
-
-let fresh_state () = { obj = 0; site = 0; ctx = 0 }
-
-let reset_state st =
-  st.obj <- 0;
-  st.site <- 0;
-  st.ctx <- 0
-
-let encode_event buf st (e : Event.t) =
-  match e with
-  | Alloc { obj; site; ctx; size; thread } ->
-    Buffer.add_char buf '\000';
-    put_varint buf (obj - st.obj);
-    put_varint buf (site - st.site);
-    put_varint buf (ctx - st.ctx);
-    put_uvarint buf size;
-    put_uvarint buf thread;
-    st.obj <- obj;
-    st.site <- site;
-    st.ctx <- ctx
-  | Access { obj; offset; write; thread } ->
-    Buffer.add_char buf (if write then '\002' else '\001');
-    put_varint buf (obj - st.obj);
-    put_uvarint buf offset;
-    put_uvarint buf thread;
-    st.obj <- obj
-  | Free { obj; thread } ->
-    Buffer.add_char buf '\003';
-    put_varint buf (obj - st.obj);
-    put_uvarint buf thread;
-    st.obj <- obj
-  | Realloc { obj; new_size; thread } ->
-    Buffer.add_char buf '\004';
-    put_varint buf (obj - st.obj);
-    put_uvarint buf new_size;
-    put_uvarint buf thread;
-    st.obj <- obj
-  | Compute { instrs; thread } ->
-    Buffer.add_char buf '\005';
-    put_uvarint buf instrs;
-    put_uvarint buf thread
-
-let write buf trace =
-  Buffer.add_string buf magic;
-  put_uvarint buf version;
-  put_uvarint buf (Trace.length trace);
-  let st = fresh_state () in
-  Trace.iter (fun e -> encode_event buf st e) trace
-
-let to_bytes trace =
-  let buf = Buffer.create (Trace.length trace * 5) in
-  write buf trace;
-  Buffer.to_bytes buf
-
-(* --- framed encoding (format v2) --------------------------------------
-
-   The event stream is chunked into frames of [frame_events] events.
-   Each frame carries its own event count, the cumulative event count
-   before it, the payload length and a CRC32 of the payload; the delta
-   state resets at every frame boundary so frames decode independently
-   (which is what lets the lenient reader resynchronize past a corrupt
-   frame without poisoning the rest of the stream).  A footer with
-   frame/event totals (itself checksummed) makes truncation
-   detectable. *)
-
-let write_framed ?(frame_events = default_frame_events) buf trace =
-  if frame_events <= 0 then
-    invalid_arg "Binfmt.write_framed: frame_events must be positive";
-  Buffer.add_string buf magic;
-  put_uvarint buf version_framed;
-  let payload = Buffer.create (min (Trace.length trace) frame_events * 5) in
-  let st = fresh_state () in
-  let in_frame = ref 0 in
-  let cum = ref 0 in
-  let frames = ref 0 in
-  let flush () =
-    if !in_frame > 0 then begin
-      Buffer.add_string buf frame_marker;
-      put_uvarint buf !in_frame;
-      put_uvarint buf !cum;
-      put_uvarint buf (Buffer.length payload);
-      put_u32le buf (Crc32.string (Buffer.contents payload));
-      Buffer.add_buffer buf payload;
-      cum := !cum + !in_frame;
-      incr frames;
-      in_frame := 0;
-      Buffer.clear payload;
-      reset_state st
-    end
-  in
-  Trace.iter
-    (fun e ->
-      encode_event payload st e;
-      incr in_frame;
-      if !in_frame = frame_events then flush ())
-    trace;
-  flush ();
-  let fb = Buffer.create 16 in
-  put_uvarint fb !frames;
-  put_uvarint fb !cum;
-  Buffer.add_string buf footer_marker;
-  Buffer.add_buffer buf fb;
-  put_u32le buf (Crc32.string (Buffer.contents fb))
-
-let to_bytes_framed ?frame_events trace =
-  let buf = Buffer.create (Trace.length trace * 5) in
-  write_framed ?frame_events buf trace;
-  Buffer.to_bytes buf
-
-(* --- decoding -----------------------------------------------------------
-
-   Every decoder reads a {!Bigio.t} region holding the whole container
-   (a file mapping, or one copy of a [bytes] value): the frame walk, the
-   CRC checks and the event decode read straight from it. *)
-
-(* [base] is subtracted from offsets in error strings so v2 payload
-   errors report payload-relative positions; v1 passes [base = 0]
-   (absolute offsets). *)
-let decode_event_big c ~base st =
-  if c.pos >= c.limit then Error "truncated stream"
-  else begin
-    let tag = Char.code (Bigio.unsafe_get c.big c.pos) in
-    c.pos <- c.pos + 1;
-    match tag with
-    | 0 ->
-      let* dobj = get_varint c in
-      let* dsite = get_varint c in
-      let* dctx = get_varint c in
-      let* size = get_uvarint c in
-      let* thread = get_uvarint c in
-      st.obj <- st.obj + dobj;
-      st.site <- st.site + dsite;
-      st.ctx <- st.ctx + dctx;
-      Ok (Event.Alloc { obj = st.obj; site = st.site; ctx = st.ctx; size; thread })
-    | 1 | 2 ->
-      let* dobj = get_varint c in
-      let* offset = get_uvarint c in
-      let* thread = get_uvarint c in
-      st.obj <- st.obj + dobj;
-      Ok (Event.Access { obj = st.obj; offset; write = tag = 2; thread })
-    | 3 ->
-      let* dobj = get_varint c in
-      let* thread = get_uvarint c in
-      st.obj <- st.obj + dobj;
-      Ok (Event.Free { obj = st.obj; thread })
-    | 4 ->
-      let* dobj = get_varint c in
-      let* new_size = get_uvarint c in
-      let* thread = get_uvarint c in
-      st.obj <- st.obj + dobj;
-      Ok (Event.Realloc { obj = st.obj; new_size; thread })
-    | 5 ->
-      let* instrs = get_uvarint c in
-      let* thread = get_uvarint c in
-      Ok (Event.Compute { instrs; thread })
-    | t -> Error (Printf.sprintf "unknown tag %d at offset %d" t (c.pos - 1 - base))
-  end
-
-let iter_big_v1 c ~f =
-  let* count = get_uvarint c in
-  let* () =
-    (* Every encoded event occupies at least one byte; a count beyond
-       that bound is a corrupted header. *)
-    if count > c.limit - c.pos then
-      Error
-        (Printf.sprintf "implausible event count %d for %d payload bytes" count
-           (c.limit - c.pos))
-    else Ok ()
-  in
-  let st = fresh_state () in
-  let rec events remaining =
-    if remaining = 0 then Ok ()
-    else
-      let* e = decode_event_big c ~base:0 st in
-      f e;
-      events (remaining - 1)
-  in
-  events count
-
 let header big =
   let c = { big; pos = 0; limit = Bigio.length big } in
   if c.limit < 4 then Error (Printf.sprintf "empty or truncated file (offset %d)" c.limit)
@@ -277,14 +98,44 @@ let header big =
 
 let big_version big = Result.map snd (header big)
 
+(* --- frame writing --------------------------------------------------- *)
+
+type writer = {
+  out : Buffer.t;
+  mutable cum : int;  (* events written so far *)
+  mutable frames : int;
+}
+
+let start out ~version =
+  Buffer.add_string out magic;
+  put_uvarint out version;
+  { out; cum = 0; frames = 0 }
+
+let add_frame w ~events payload =
+  Buffer.add_string w.out frame_marker;
+  put_uvarint w.out events;
+  put_uvarint w.out w.cum;
+  put_uvarint w.out (Buffer.length payload);
+  put_u32le w.out (Crc32.string (Buffer.contents payload));
+  Buffer.add_buffer w.out payload;
+  w.cum <- w.cum + events;
+  w.frames <- w.frames + 1
+
+let finish w =
+  let fb = Buffer.create 16 in
+  put_uvarint fb w.frames;
+  put_uvarint fb w.cum;
+  Buffer.add_string w.out footer_marker;
+  Buffer.add_buffer w.out fb;
+  put_u32le w.out (Crc32.string (Buffer.contents fb))
+
 (* --- the frame walk -----------------------------------------------------
 
-   v2 and the columnar v3 share one skeleton after the header: "FRME"
-   frames of (event count, cumulative count, payload length, CRC32,
-   payload) and one "FEND" footer of (frame count, event count, CRC32 of
-   those two varints).  One strict and one lenient walk cover both
-   formats; each hands every CRC-verified payload to a per-format
-   [frame] callback. *)
+   After the header comes one skeleton: "FRME" frames of (event count,
+   cumulative count, payload length, CRC32, payload) and one "FEND"
+   footer of (frame count, event count, CRC32 of those two varints).
+   One strict and one lenient walk cover it; each hands every
+   CRC-verified payload to the payload codec's [frame] callback. *)
 
 (* Check one frame header, [c] just past the marker at [frame_off].  On
    success the cursor sits on the payload, whose CRC has been verified.
@@ -441,92 +292,3 @@ let walk_frames_lenient c ~frame ~keep =
 
 let pp_lost_range ppf r =
   Format.fprintf ppf "events [%d, %d)" r.lost_from r.lost_to
-
-(* --- v1/v2 entry points ------------------------------------------------- *)
-
-(* One v2 payload: [events] delta-coded events, the delta state fresh
-   per frame so frames decode independently. *)
-let decode_frame_v2 big ~f ~frame_off ~pos ~plen ~events =
-  let c = { big; pos; limit = pos + plen } in
-  let st = fresh_state () in
-  let rec go n =
-    if n = 0 then
-      if c.pos = c.limit then Ok ()
-      else Error (Printf.sprintf "frame payload length mismatch at offset %d" frame_off)
-    else
-      let* e = decode_event_big c ~base:pos st in
-      f e;
-      go (n - 1)
-  in
-  go events
-
-let iter_big ?(on_frame = fun () -> ()) big ~f =
-  let* c, v = header big in
-  if v = version then iter_big_v1 c ~f
-  else if v = version_framed then
-    walk_frames c ~frame:(fun ~frame_off ~pos ~plen ~events ->
-        let* () = decode_frame_v2 big ~f ~frame_off ~pos ~plen ~events in
-        on_frame ();
-        Ok ())
-  else Error (Printf.sprintf "unsupported version %d" v)
-
-let read_big big =
-  let trace = Trace.create () in
-  Result.map (fun () -> trace) (iter_big big ~f:(Trace.add trace))
-
-let read data = read_big (Bigio.of_bytes data)
-
-let read_file path = read_big (Bigio.load path)
-
-type lenient = {
-  lr_trace : Trace.t;
-  lr_lost : lost_range list;
-  lr_frames_ok : int;
-  lr_frames_skipped : int;
-  lr_total_events : int option;
-}
-
-let lenient_events_lost l =
-  List.fold_left (fun acc r -> acc + (r.lost_to - r.lost_from)) 0 l.lr_lost
-
-let read_lenient_big big =
-  let* c, v = header big in
-  let* () =
-    if v = version_framed then Ok ()
-    else if v = version then Error "lenient decode requires a framed (v2) file"
-    else Error (Printf.sprintf "unsupported version %d" v)
-  in
-  let trace = Trace.create () in
-  let r =
-    walk_frames_lenient c
-      ~frame:(fun ~frame_off ~pos ~plen ~events ->
-        let es = ref [] in
-        Result.map
-          (fun () -> List.rev !es)
-          (decode_frame_v2 big ~f:(fun e -> es := e :: !es) ~frame_off ~pos ~plen ~events))
-      ~keep:(List.iter (Trace.add trace))
-  in
-  Ok
-    { lr_trace = trace;
-      lr_lost = r.lost;
-      lr_frames_ok = r.frames_ok;
-      lr_frames_skipped = r.frames_skipped;
-      lr_total_events = r.total_events }
-
-let read_lenient data = read_lenient_big (Bigio.of_bytes data)
-
-let read_file_lenient path = read_lenient_big (Bigio.load path)
-
-let write_file path trace =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      let buf = Buffer.create (Trace.length trace * 5) in
-      write buf trace;
-      Buffer.output_buffer oc buf)
-
-(* New trace files are framed; written atomically so a crash mid-write
-   never leaves a half-encoded file behind. *)
-let write_file_framed ?frame_events path trace =
-  Prefix_util.Fsio.atomic_write path (fun buf -> write_framed ?frame_events buf trace)

@@ -1,13 +1,11 @@
-(* Columnar compressed trace container (format v3).
+(* Columnar compressed trace container (format v3), the one on-disk
+   trace format.
 
-   Binfmt v2 frames interleave every event's fields, so decoding is an
-   event-at-a-time state machine that boxes an [Event.t] per event.
-   This container keeps the frame/footer machinery of v2 verbatim —
-   same "FRME" header (event count, cumulative count, payload length,
-   CRC32), same checksummed "FEND" footer, walked by the same
-   {!Binfmt.walk_frames} / {!Binfmt.walk_frames_lenient}, so crash
-   safety, strict rejection and lenient marker-resync carry over — but
-   each frame's payload is column-oriented:
+   {!Binfmt} writes and walks the frame envelope ("FRME" frames of
+   event count, cumulative count, payload length, CRC32; a checksummed
+   "FEND" footer), which gives crash safety, strict rejection and
+   lenient marker-resync.  This module is the payload codec: each
+   frame's payload is column-oriented:
 
      1. tag index        n_runs, then (tag byte, run length) pairs —
                          run-length encoded, and exactly the run
@@ -34,22 +32,17 @@
    non-negative: fault-injected traces carry negative sizes/offsets
    and must still round-trip. *)
 
-module Crc32 = Prefix_util.Crc32
 module Bigio = Prefix_util.Bigio
 
 let ( let* ) = Result.bind
 
-let magic = Binfmt.magic
 let version_columnar = 3
-let frame_marker = Binfmt.frame_marker
-let footer_marker = Binfmt.footer_marker
 let default_frame_events = Binfmt.default_frame_events
 
 (* ---- encoding -------------------------------------------------------- *)
 
 let put_uvarint = Binfmt.put_uvarint
 let put_varint = Binfmt.put_varint
-let put_u32le = Binfmt.put_u32le
 
 (* One frame's payload for events [pos, pos+len) of [p], appended to
    [payload].  Column buffers are built in one main pass (plus a site
@@ -167,37 +160,19 @@ let encode_range payload (p : Packed.t) ~pos ~len =
 
 module Writer = struct
   type t = {
-    buf : Buffer.t;
+    env : Binfmt.writer;
     frame_events : int;
     payload : Buffer.t;
-    mutable cum : int;
-    mutable frames : int;
     mutable finished : bool;
   }
 
   let create ?(frame_events = default_frame_events) buf =
     if frame_events <= 0 then
       invalid_arg "Columnar.Writer.create: frame_events must be positive";
-    Buffer.add_string buf magic;
-    put_uvarint buf version_columnar;
-    { buf;
+    { env = Binfmt.start buf ~version:version_columnar;
       frame_events;
       payload = Buffer.create 4096;
-      cum = 0;
-      frames = 0;
       finished = false }
-
-  let emit_frame w p ~pos ~len =
-    Buffer.clear w.payload;
-    encode_range w.payload p ~pos ~len;
-    Buffer.add_string w.buf frame_marker;
-    put_uvarint w.buf len;
-    put_uvarint w.buf w.cum;
-    put_uvarint w.buf (Buffer.length w.payload);
-    put_u32le w.buf (Crc32.string (Buffer.contents w.payload));
-    Buffer.add_buffer w.buf w.payload;
-    w.cum <- w.cum + len;
-    w.frames <- w.frames + 1
 
   let add_segment w p =
     if w.finished then invalid_arg "Columnar.Writer.add_segment: writer finished";
@@ -205,19 +180,16 @@ module Writer = struct
     let pos = ref 0 in
     while !pos < n do
       let len = min w.frame_events (n - !pos) in
-      emit_frame w p ~pos:!pos ~len;
+      Buffer.clear w.payload;
+      encode_range w.payload p ~pos:!pos ~len;
+      Binfmt.add_frame w.env ~events:len w.payload;
       pos := !pos + len
     done
 
   let finish w =
     if w.finished then invalid_arg "Columnar.Writer.finish: writer finished";
     w.finished <- true;
-    let fb = Buffer.create 16 in
-    put_uvarint fb w.frames;
-    put_uvarint fb w.cum;
-    Buffer.add_string w.buf footer_marker;
-    Buffer.add_buffer w.buf fb;
-    put_u32le w.buf (Crc32.string (Buffer.contents fb))
+    Binfmt.finish w.env
 end
 
 let write_buffer ?frame_events buf p =

@@ -1,29 +1,27 @@
-(** Columnar compressed trace container (format v3).
+(** Columnar compressed trace container (format v3) — the one on-disk
+    trace format.
 
-    Same file skeleton as the framed {!Binfmt} v2 — ["PFXT"] magic, a
+    The container is the {!Binfmt} frame envelope — ["PFXT"] magic, a
     version varint, then CRC32-checksummed ["FRME"] frames and a
-    checksummed ["FEND"] totals footer — but each frame's payload
-    stores the events {e column by column} in the {!Packed.t} layout:
-    a run-length tag index, a sorted dictionary of allocation sites,
-    then one delta/zig-zag-varint (or bit-packed, for access write
-    flags) column per field.  See [doc/columnar.md] for the exact
-    byte layout.
+    checksummed ["FEND"] totals footer — with a column-oriented payload
+    in each frame, in the {!Packed.t} layout: a run-length tag index, a
+    sorted dictionary of allocation sites, then one
+    delta/zig-zag-varint (or bit-packed, for access write flags) column
+    per field.  See [doc/columnar.md] for the exact byte layout.
 
-    The frame machinery is not just the same format but the same code:
-    {!Binfmt.walk_frames} and {!Binfmt.walk_frames_lenient} walk v3
-    containers too, with this module's payload decoder as their frame
-    callback.  So crash safety (truncation is detected by the footer),
-    strict rejection of corruption (same messages, see {!Binfmt}) and
-    marker-resync lenient recovery behave exactly as for v2; and
-    {!Stream.of_binary_file} cuts stream segments at frame boundaries
-    for either container.
+    This module is the payload codec only: {!Binfmt} writes the frames
+    ({!Binfmt.add_frame}) and walks them ({!Binfmt.walk_frames},
+    {!Binfmt.walk_frames_lenient}), with this module's payload decoder
+    as the frame callback.  So crash safety (truncation is detected by
+    the footer), strict rejection of corruption (messages in
+    {!Binfmt}) and marker-resync lenient recovery come from the
+    envelope, and {!Stream.of_binary_file} cuts stream segments at
+    frame boundaries.
 
     The decoder is {e zero-copy} in the sense that no per-event value
     is ever boxed: columns decode straight into flat int arrays that
-    are handed to consumers as a {!Packed.t} view, replay-ready.
-    Compared with v2 this removes the per-event [Event.t] allocation
-    and re-packing, and the RLE tag/thread indexes shrink the file
-    (typically well under v2's 3-5 bytes/event). *)
+    are handed to consumers as a {!Packed.t} view, replay-ready, and
+    the RLE tag/thread indexes keep the file small. *)
 
 val version_columnar : int
 (** 3 — the columnar container version (shares {!Binfmt.magic}). *)
@@ -65,7 +63,8 @@ val write_file : ?frame_events:int -> string -> Packed.t -> unit
 
 val read : bytes -> (Packed.t, string) result
 (** Decode a whole container (one copy into a bigstring, then
-    {!iter_big}); [Error] on bad magic/version, any CRC or footer
+    {!iter_big}); [Error] on bad magic, any version other than 3
+    (["unsupported version N (columnar is 3)"]), any CRC or footer
     mismatch, and on every structural violation inside a frame payload
     (tag/thread runs that disagree with the event count, site indices
     outside the dictionary, column bytes left over or missing).  Never
@@ -88,10 +87,13 @@ type lenient = {
 }
 
 val read_lenient : bytes -> (lenient, string) result
-(** Best-effort recovery mirroring {!Binfmt.read_lenient}: corrupt
-    frames are skipped by scanning for the next marker, and cumulative
+(** Best-effort recovery: corrupt frames are skipped by scanning for
+    the next marker ({!Binfmt.walk_frames_lenient}), and cumulative
     counts pin the exact lost event ranges.  [Error] only when the
-    header itself is unusable. *)
+    header itself is unusable (bad magic, truncation, or a version
+    other than 3).  Callers typically hand [Packed.to_trace cl_packed]
+    to {!Sanitizer.sanitize} to repair the dangling frees/accesses the
+    lost ranges leave behind. *)
 
 val read_file_lenient : string -> (lenient, string) result
 (** {!read_lenient} over a mapping of the file. *)

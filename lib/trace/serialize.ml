@@ -8,64 +8,6 @@ let event_to_line (e : Event.t) =
   | Realloc { obj; new_size; thread } -> Printf.sprintf "R %d %d %d" obj new_size thread
   | Compute { instrs; thread } -> Printf.sprintf "C %d %d" instrs thread
 
-let split_ws s =
-  String.split_on_char ' ' s |> List.filter (fun x -> x <> "")
-
-let event_of_line line : (Event.t, string) result =
-  let ints parts =
-    try Ok (List.map int_of_string parts)
-    with _ -> Error (Printf.sprintf "malformed integer in %S" line)
-  in
-  (* Field sanity: negative ids/threads/offsets and non-positive sizes
-     describe no real allocation and are rejected here, not deferred to
-     a crash deep inside replay. *)
-  let ( let* ) = Result.bind in
-  let nonneg what v =
-    if v < 0 then Error (Printf.sprintf "negative %s %d in %S" what v line) else Ok v
-  in
-  let positive what v =
-    if v <= 0 then Error (Printf.sprintf "non-positive %s %d in %S" what v line) else Ok v
-  in
-  match split_ws line with
-  | [] -> Error "empty line"
-  | tag :: rest -> (
-    match (tag, ints rest) with
-    | _, Error e -> Error e
-    | "A", Ok [ obj; site; ctx; size; thread ] ->
-      let* obj = nonneg "object id" obj in
-      let* site = nonneg "site id" site in
-      let* ctx = nonneg "context id" ctx in
-      let* size = positive "size" size in
-      let* thread = nonneg "thread id" thread in
-      Ok (Event.Alloc { obj; site; ctx; size; thread })
-    | "L", Ok [ obj; offset; thread ] ->
-      let* obj = nonneg "object id" obj in
-      let* offset = nonneg "offset" offset in
-      let* thread = nonneg "thread id" thread in
-      Ok (Event.Access { obj; offset; write = false; thread })
-    | "S", Ok [ obj; offset; thread ] ->
-      let* obj = nonneg "object id" obj in
-      let* offset = nonneg "offset" offset in
-      let* thread = nonneg "thread id" thread in
-      Ok (Event.Access { obj; offset; write = true; thread })
-    | "F", Ok [ obj; thread ] ->
-      let* obj = nonneg "object id" obj in
-      let* thread = nonneg "thread id" thread in
-      Ok (Event.Free { obj; thread })
-    | "R", Ok [ obj; new_size; thread ] ->
-      let* obj = nonneg "object id" obj in
-      let* new_size = positive "size" new_size in
-      let* thread = nonneg "thread id" thread in
-      Ok (Event.Realloc { obj; new_size; thread })
-    | "C", Ok [ instrs; thread ] ->
-      let* instrs = nonneg "instruction count" instrs in
-      let* thread = nonneg "thread id" thread in
-      Ok (Event.Compute { instrs; thread })
-    | _ -> Error (Printf.sprintf "unrecognised event line %S" line))
-
-let write oc trace =
-  Trace.iter (fun e -> output_string oc (event_to_line e); output_char oc '\n') trace
-
 let to_string trace =
   let buf = Buffer.create (Trace.length trace * 16) in
   Trace.iter
@@ -74,50 +16,3 @@ let to_string trace =
       Buffer.add_char buf '\n')
     trace;
   Buffer.contents buf
-
-let parse_lines lines =
-  let trace = Trace.create () in
-  let rec go lineno = function
-    | [] -> Ok trace
-    | line :: rest ->
-      let trimmed = String.trim line in
-      if trimmed = "" || (String.length trimmed > 0 && trimmed.[0] = '#') then go (lineno + 1) rest
-      else (
-        match event_of_line trimmed with
-        | Ok e ->
-          Trace.add trace e;
-          go (lineno + 1) rest
-        | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
-  in
-  go 1 lines
-
-let of_string s = parse_lines (String.split_on_char '\n' s)
-
-(* Line-by-line: only the current line is live, so reading never costs
-   more than the decoded events themselves (the seed accumulated the
-   whole file as a [string list] first — 2-3x the trace's own memory). *)
-let iter_channel ic ~f =
-  let rec go lineno =
-    match input_line ic with
-    | exception End_of_file -> Ok ()
-    | line ->
-      let trimmed = String.trim line in
-      if trimmed = "" || trimmed.[0] = '#' then go (lineno + 1)
-      else (
-        match event_of_line trimmed with
-        | Ok e ->
-          f e;
-          go (lineno + 1)
-        | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
-  in
-  go 1
-
-let iter_file path ~f =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> iter_channel ic ~f)
-
-let read ic =
-  let trace = Trace.create () in
-  match iter_channel ic ~f:(Trace.add trace) with
-  | Ok () -> Ok trace
-  | Error _ as e -> e

@@ -1,4 +1,6 @@
-(** Line-oriented text (de)serialization of traces.
+(** Line-oriented text rendering of traces, for reading by eye or by
+    external tools ([prefix trace --format text]).  It is print-only:
+    the on-disk trace format that is read back is {!Columnar}.
 
     The format is one event per line:
 
@@ -9,31 +11,8 @@
     F <obj> <thread>                         free
     R <obj> <new_size> <thread>              realloc
     C <instrs> <thread>                      compute block
-    v}
-
-    Blank lines and lines starting with ['#'] are ignored on input. *)
+    v} *)
 
 val event_to_line : Event.t -> string
 
-val event_of_line : string -> (Event.t, string) result
-(** [Error msg] on malformed input. *)
-
-val write : out_channel -> Trace.t -> unit
-
 val to_string : Trace.t -> string
-
-val read : in_channel -> (Trace.t, string) result
-(** Reads line by line — memory is bounded by the decoded trace itself,
-    never by a buffered copy of the file.  Errors carry the exact
-    (1-based) line number. *)
-
-val of_string : string -> (Trace.t, string) result
-
-val iter_channel : in_channel -> f:(Event.t -> unit) -> (unit, string) result
-(** Streaming decode: [f] is called once per event as each line is
-    parsed; no trace is materialized.  Stops at the first malformed
-    line with [Error "line N: ..."]. *)
-
-val iter_file : string -> f:(Event.t -> unit) -> (unit, string) result
-(** {!iter_channel} over a freshly opened (and always closed) file.
-    Raises [Sys_error] if the file cannot be opened. *)

@@ -84,21 +84,13 @@ let of_packed ?(segment_events = default_segment_events) packed =
   in
   { segment_events; feed }
 
-let of_text_file ?segment_events path =
-  create ?segment_events (fun push ->
-      match Serialize.iter_file path ~f:push with
-      | Ok () -> ()
-      | Error msg -> failwith (path ^ ": " ^ msg))
-
-(* Binary files are decoded frame-aware: for framed (v2 and columnar
-   v3) input the segment is flushed at every frame boundary, so
-   checkpoint boundaries (= segment boundaries) coincide with the
-   file's integrity-check units.  A frame larger than [segment_events]
-   still flushes whenever the buffer fills, so segments never exceed
-   their declared size.  The container is auto-detected from the
-   header: v1/v2 take the event-at-a-time {!Binfmt} decoder, v3 the
-   columnar one — whole decoded frames are blitted into the segment
-   buffer, never boxed per event. *)
+(* The file is decoded frame by frame and each segment flushed at
+   every frame boundary, so checkpoint boundaries (= segment
+   boundaries) coincide with the file's integrity-check units.  A frame
+   larger than [segment_events] still flushes whenever the buffer
+   fills, so segments never exceed their declared size.  Whole decoded
+   frames are blitted into the segment buffer, never boxed per
+   event. *)
 let of_binary_file ?(segment_events = default_segment_events) path =
   check_segment_events ~who:"Stream.of_binary_file" segment_events;
   (* The segment buffer, frame-decode scratch and file mapping are
@@ -119,7 +111,7 @@ let of_binary_file ?(segment_events = default_segment_events) path =
         Packed.Buf.clear buf
       end
     in
-    let on_columnar_frame frame =
+    let on_frame frame =
       let n = Packed.length frame in
       if n <= segment_events && Packed.Buf.length buf = 0 then
         (* Whole frame fits in one segment: hand the decoder's
@@ -139,19 +131,9 @@ let of_binary_file ?(segment_events = default_segment_events) path =
         flush ()
       end
     in
-    let on_event e =
-      Packed.Buf.add buf e;
-      if Packed.Buf.is_full buf then flush ()
-    in
-    let result =
-      let big = Lazy.force big in
-      match Binfmt.big_version big with
-      | Error msg -> failwith (path ^ ": " ^ msg)
-      | Ok v when v = Columnar.version_columnar ->
-        Columnar.iter_big ~decoder:(Lazy.force decoder) big ~f:on_columnar_frame
-      | Ok _ -> Binfmt.iter_big big ~on_frame:flush ~f:on_event
-    in
-    match result with
+    match
+      Columnar.iter_big ~decoder:(Lazy.force decoder) (Lazy.force big) ~f:on_frame
+    with
     | Ok () -> flush ()
     | Error msg -> failwith (path ^ ": " ^ msg)
   in

@@ -1,32 +1,21 @@
-(* Reference decoders for the framed containers: the in_channel
-   decoders and the bytes lenient walkers that the library's one
+(* Reference decoders for the columnar (v3) container: the in_channel
+   decoder and the bytes lenient walker that the library's one
    Bigio-based strict walk and one lenient walk replaced.  The region
    decoders were built to match these event for event, rejection
    message for rejection message, so the differential properties in
    [Test_mmap] compare the two.  The code is kept as it was; only the
-   module wrapping and the shared record types are new. *)
+   module wrapping and the shared record types are new.  [Binfmt] holds
+   the bytes-cursor wire getters the columnar reference shares. *)
 
 open Prefix_trace
 module Crc32 = Prefix_util.Crc32
 
 module Binfmt = struct
   let magic = Binfmt.magic
-  let version = Binfmt.version
-  let version_framed = Binfmt.version_framed
   let frame_marker = Binfmt.frame_marker
   let footer_marker = Binfmt.footer_marker
 
-  let unzigzag n = (n lsr 1) lxor (-(n land 1))
-
   type lost_range = Binfmt.lost_range = { lost_from : int; lost_to : int }
-
-  type lenient = Binfmt.lenient = {
-    lr_trace : Trace.t;
-    lr_lost : lost_range list;
-    lr_frames_ok : int;
-    lr_frames_skipped : int;
-    lr_total_events : int option;
-  }
 
   type cursor = { data : bytes; mutable pos : int }
 
@@ -55,8 +44,6 @@ module Binfmt = struct
       Error "varint overflows"
     | r -> r
 
-  let get_varint c = Result.map unzigzag (get_uvarint63 c)
-
   let get_u32le c =
     if c.pos + 4 > Bytes.length c.data then Error "truncated checksum"
     else begin
@@ -65,419 +52,6 @@ module Binfmt = struct
       c.pos <- c.pos + 4;
       Ok v
     end
-
-  type state = { mutable obj : int; mutable site : int; mutable ctx : int }
-
-  let fresh_state () = { obj = 0; site = 0; ctx = 0 }
-
-  let decode_event c st =
-    let ( let* ) = Result.bind in
-    if c.pos >= Bytes.length c.data then Error "truncated stream"
-    else begin
-      let tag = Char.code (Bytes.get c.data c.pos) in
-      c.pos <- c.pos + 1;
-      match tag with
-      | 0 ->
-        let* dobj = get_varint c in
-        let* dsite = get_varint c in
-        let* dctx = get_varint c in
-        let* size = get_uvarint c in
-        let* thread = get_uvarint c in
-        st.obj <- st.obj + dobj;
-        st.site <- st.site + dsite;
-        st.ctx <- st.ctx + dctx;
-        Ok (Event.Alloc { obj = st.obj; site = st.site; ctx = st.ctx; size; thread })
-      | 1 | 2 ->
-        let* dobj = get_varint c in
-        let* offset = get_uvarint c in
-        let* thread = get_uvarint c in
-        st.obj <- st.obj + dobj;
-        Ok (Event.Access { obj = st.obj; offset; write = tag = 2; thread })
-      | 3 ->
-        let* dobj = get_varint c in
-        let* thread = get_uvarint c in
-        st.obj <- st.obj + dobj;
-        Ok (Event.Free { obj = st.obj; thread })
-      | 4 ->
-        let* dobj = get_varint c in
-        let* new_size = get_uvarint c in
-        let* thread = get_uvarint c in
-        st.obj <- st.obj + dobj;
-        Ok (Event.Realloc { obj = st.obj; new_size; thread })
-      | 5 ->
-        let* instrs = get_uvarint c in
-        let* thread = get_uvarint c in
-        Ok (Event.Compute { instrs; thread })
-      | t -> Error (Printf.sprintf "unknown tag %d at offset %d" t (c.pos - 1))
-    end
-
-  let check_header c =
-    let data = c.data in
-    let ( let* ) = Result.bind in
-    let* () =
-      if Bytes.length data < 4 then
-        Error
-          (Printf.sprintf "empty or truncated file (offset %d)" (Bytes.length data))
-      else if Bytes.sub_string data 0 4 <> magic then Error "bad magic"
-      else begin
-        c.pos <- 4;
-        Ok ()
-      end
-    in
-    get_uvarint c
-
-  (* --- lenient framed decode --------------------------------------------
-
-     Best-effort recovery over a (possibly corrupted) v2 file: corrupt
-     frames are skipped by resynchronizing on the next frame/footer
-     marker, and because every good frame carries its cumulative event
-     count, the exact ranges of lost events are reported.  The surviving
-     trace is what callers hand to {!Sanitizer.sanitize} — dangling
-     frees/accesses from the lost ranges are then repaired there. *)
-
-  let read_lenient data =
-    let ( let* ) = Result.bind in
-    let c = { data; pos = 0 } in
-    let* v = check_header c in
-    let* () =
-      if v = version_framed then Ok ()
-      else if v = version then Error "lenient decode requires a framed (v2) file"
-      else Error (Printf.sprintf "unsupported version %d" v)
-    in
-    let len = Bytes.length data in
-    let trace = Trace.create () in
-    let lost = ref [] in
-    let orig = ref 0 in (* original-stream event index accounted for so far *)
-    let ok_frames = ref 0 in
-    let skipped = ref 0 in
-    let total = ref None in
-    let add_lost a b = if b > a then lost := { lost_from = a; lost_to = b } :: !lost in
-    let marker_at p = p + 4 <= len && (let m = Bytes.sub_string data p 4 in m = frame_marker || m = footer_marker) in
-    (* Resync: scan byte-by-byte for the next plausible marker. *)
-    let rec scan p = if p + 4 > len then len else if marker_at p then p else scan (p + 1) in
-    let try_frame p =
-      let c = { data; pos = p + 4 } in
-      let parse =
-        let* events = get_uvarint c in
-        let* cum = get_uvarint c in
-        let* plen = get_uvarint c in
-        let* crc = get_u32le c in
-        if c.pos + plen > len || events > plen then Error "bounds"
-        else if Crc32.sub_bytes data ~pos:c.pos ~len:plen <> crc then Error "crc"
-        else begin
-          let limit = c.pos + plen in
-          let st = fresh_state () in
-          let rec events_loop remaining acc =
-            if remaining = 0 then
-              if c.pos = limit then Ok (List.rev acc) else Error "length"
-            else
-              let* e = decode_event c st in
-              events_loop (remaining - 1) (e :: acc)
-          in
-          let* es = events_loop events [] in
-          Ok (es, cum, c.pos)
-        end
-      in
-      Result.to_option parse
-    in
-    let try_footer p =
-      let c = { data; pos = p + 4 } in
-      let parse =
-        let* _nframes = get_uvarint c in
-        let* nevents = get_uvarint c in
-        let fend = c.pos in
-        let* crc = get_u32le c in
-        if Crc32.sub_bytes data ~pos:(p + 4) ~len:(fend - (p + 4)) <> crc then Error "crc"
-        else Ok nevents
-      in
-      Result.to_option parse
-    in
-    let rec loop p =
-      if p + 4 > len then ()
-      else
-        let m = Bytes.sub_string data p 4 in
-        if m = frame_marker then
-          match try_frame p with
-          | Some (es, cum, next) when cum >= !orig ->
-            add_lost !orig cum;
-            List.iter (Trace.add trace) es;
-            orig := cum + List.length es;
-            incr ok_frames;
-            loop next
-          | _ ->
-            incr skipped;
-            loop (scan (p + 1))
-        else if m = footer_marker then begin
-          match try_footer p with
-          | Some nevents when nevents >= !orig ->
-            add_lost !orig nevents;
-            orig := nevents;
-            total := Some nevents
-            (* Anything after a valid footer is ignored. *)
-          | _ ->
-            incr skipped;
-            loop (scan (p + 1))
-        end
-        else begin
-          incr skipped;
-          loop (scan (p + 1))
-        end
-    in
-    loop c.pos;
-    Ok
-      { lr_trace = trace;
-        lr_lost = List.rev !lost;
-        lr_frames_ok = !ok_frames;
-        lr_frames_skipped = !skipped;
-        lr_total_events = !total }
-
-  (* --- streaming decode -------------------------------------------------
-
-     Mirrors [read] but pulls bytes from a (stdlib-buffered) channel, so
-     decoding holds O(1) memory regardless of file size: no [bytes] copy
-     of the whole file, no materialized trace — each event is pushed to
-     the caller as soon as it is decoded.  For framed (v2) files the
-     optional [on_frame] callback fires after each frame's events; the
-     streaming engine uses it to align segment boundaries with frame
-     boundaries. *)
-
-  let get_uvarint63_ch ic =
-    let rec go shift acc =
-      match input_char ic with
-      | exception End_of_file -> Error "truncated varint"
-      | ch ->
-        let b = Char.code ch in
-        let acc = acc lor ((b land 0x7f) lsl shift) in
-        if b land 0x80 = 0 then Ok acc
-        else if shift > 56 then Error "varint too long"
-        else go (shift + 7) acc
-    in
-    go 0 0
-
-  let get_uvarint_ch ic =
-    match get_uvarint63_ch ic with
-    | Ok acc when acc < 0 -> Error "varint overflows"
-    | r -> r
-
-  let get_varint_ch ic = Result.map unzigzag (get_uvarint63_ch ic)
-
-  let iter_channel_v1 ic ~f =
-    let ( let* ) = Result.bind in
-    let* count = get_uvarint_ch ic in
-    let* () =
-      (* Same header-plausibility bound as [read]: at least one payload
-         byte per claimed event must remain in the channel. *)
-      match in_channel_length ic - pos_in ic with
-      | exception Sys_error _ -> Ok ()
-      | remaining ->
-        if count > remaining then
-          Error (Printf.sprintf "implausible event count %d for %d payload bytes" count remaining)
-        else Ok ()
-    in
-    let st = fresh_state () in
-    let rec events remaining =
-      if remaining = 0 then Ok ()
-      else
-        match input_char ic with
-        | exception End_of_file -> Error "truncated stream"
-        | tag_ch ->
-          let tag = Char.code tag_ch in
-          let* e =
-            match tag with
-            | 0 ->
-              let* dobj = get_varint_ch ic in
-              let* dsite = get_varint_ch ic in
-              let* dctx = get_varint_ch ic in
-              let* size = get_uvarint_ch ic in
-              let* thread = get_uvarint_ch ic in
-              st.obj <- st.obj + dobj;
-              st.site <- st.site + dsite;
-              st.ctx <- st.ctx + dctx;
-              Ok (Event.Alloc { obj = st.obj; site = st.site; ctx = st.ctx; size; thread })
-            | 1 | 2 ->
-              let* dobj = get_varint_ch ic in
-              let* offset = get_uvarint_ch ic in
-              let* thread = get_uvarint_ch ic in
-              st.obj <- st.obj + dobj;
-              Ok (Event.Access { obj = st.obj; offset; write = tag = 2; thread })
-            | 3 ->
-              let* dobj = get_varint_ch ic in
-              let* thread = get_uvarint_ch ic in
-              st.obj <- st.obj + dobj;
-              Ok (Event.Free { obj = st.obj; thread })
-            | 4 ->
-              let* dobj = get_varint_ch ic in
-              let* new_size = get_uvarint_ch ic in
-              let* thread = get_uvarint_ch ic in
-              st.obj <- st.obj + dobj;
-              Ok (Event.Realloc { obj = st.obj; new_size; thread })
-            | 5 ->
-              let* instrs = get_uvarint_ch ic in
-              let* thread = get_uvarint_ch ic in
-              Ok (Event.Compute { instrs; thread })
-            | t -> Error (Printf.sprintf "unknown tag %d at offset %d" t (pos_in ic - 1))
-          in
-          f e;
-          events (remaining - 1)
-    in
-    events count
-
-  (* Channel-based strict v2 decode: each frame is read whole (bounded by
-     its declared payload length), CRC-checked, then decoded with the
-     bytes cursor — O(frame) memory. *)
-  let iter_channel_v2 ?(on_frame = fun () -> ()) ic ~f =
-    let ( let* ) = Result.bind in
-    let decoded = ref 0 in
-    let frames = ref 0 in
-    let remaining () =
-      match in_channel_length ic - pos_in ic with
-      | exception Sys_error _ -> max_int
-      | r -> r
-    in
-    let rec loop () =
-      match really_input_string ic 4 with
-      | exception End_of_file ->
-        Error (Printf.sprintf "truncated file (missing footer) at offset %d" (pos_in ic))
-      | marker when marker = frame_marker ->
-        let frame_off = pos_in ic - 4 in
-        let* events = get_uvarint_ch ic in
-        let* cum = get_uvarint_ch ic in
-        let* plen = get_uvarint_ch ic in
-        let* () =
-          if plen > remaining () then
-            Error
-              (Printf.sprintf "implausible frame payload length %d at offset %d" plen
-                 frame_off)
-          else Ok ()
-        in
-        let* () =
-          if events > plen then
-            Error
-              (Printf.sprintf "implausible event count %d for %d payload bytes" events plen)
-          else Ok ()
-        in
-        let* () =
-          if cum <> !decoded then
-            Error
-              (Printf.sprintf
-                 "frame at offset %d claims cumulative count %d but %d events decoded"
-                 frame_off cum !decoded)
-          else Ok ()
-        in
-        let crc_bytes = Bytes.create 4 in
-        let* () =
-          match really_input ic crc_bytes 0 4 with
-          | exception End_of_file -> Error "truncated checksum"
-          | () -> Ok ()
-        in
-        let b i = Char.code (Bytes.get crc_bytes i) in
-        let crc = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
-        let payload = Bytes.create plen in
-        let* () =
-          match really_input ic payload 0 plen with
-          | exception End_of_file ->
-            Error (Printf.sprintf "truncated frame payload at offset %d" frame_off)
-          | () -> Ok ()
-        in
-        let* () =
-          if Crc32.bytes payload <> crc then
-            Error (Printf.sprintf "frame CRC mismatch at offset %d" frame_off)
-          else Ok ()
-        in
-        let c = { data = payload; pos = 0 } in
-        let st = fresh_state () in
-        let rec events_loop n =
-          if n = 0 then
-            if c.pos = plen then Ok ()
-            else Error (Printf.sprintf "frame payload length mismatch at offset %d" frame_off)
-          else
-            let* e = decode_event c st in
-            f e;
-            incr decoded;
-            events_loop (n - 1)
-        in
-        let* () = events_loop events in
-        incr frames;
-        on_frame ();
-        loop ()
-      | marker when marker = footer_marker ->
-        let fb = Buffer.create 16 in
-        let get_uvarint_copy () =
-          (* The footer CRC covers the totals' encoded bytes, so they are
-             re-captured as they are read. *)
-          let rec go shift acc =
-            match input_char ic with
-            | exception End_of_file -> Error "truncated varint"
-            | ch ->
-              Buffer.add_char fb ch;
-              let b = Char.code ch in
-              let acc = acc lor ((b land 0x7f) lsl shift) in
-              if b land 0x80 = 0 then
-                if acc < 0 then Error "varint overflows" else Ok acc
-              else if shift > 56 then Error "varint too long"
-              else go (shift + 7) acc
-          in
-          go 0 0
-        in
-        let* nframes = get_uvarint_copy () in
-        let* nevents = get_uvarint_copy () in
-        let crc_bytes = Bytes.create 4 in
-        let* () =
-          match really_input ic crc_bytes 0 4 with
-          | exception End_of_file -> Error "truncated checksum"
-          | () -> Ok ()
-        in
-        let b i = Char.code (Bytes.get crc_bytes i) in
-        let crc = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
-        let* () =
-          if Crc32.string (Buffer.contents fb) <> crc then Error "footer CRC mismatch"
-          else Ok ()
-        in
-        let* () =
-          if nframes <> !frames || nevents <> !decoded then
-            Error
-              (Printf.sprintf
-                 "footer totals (%d frames, %d events) disagree with stream (%d frames, \
-                  %d events)"
-                 nframes nevents !frames !decoded)
-          else Ok ()
-        in
-        (match input_char ic with
-        | exception End_of_file -> Ok ()
-        | _ -> Error (Printf.sprintf "trailing bytes after footer at offset %d" (pos_in ic - 1)))
-      | _ -> Error (Printf.sprintf "bad frame marker at offset %d" (pos_in ic - 4))
-    in
-    loop ()
-
-  let iter_channel ?on_frame ic ~f =
-    let ( let* ) = Result.bind in
-    let* () =
-      match really_input_string ic 4 with
-      | exception End_of_file ->
-        Error (Printf.sprintf "empty or truncated file (offset %d)" (pos_in ic))
-      | m -> if m <> magic then Error "bad magic" else Ok ()
-    in
-    let* v = get_uvarint_ch ic in
-    if v = version then iter_channel_v1 ic ~f
-    else if v = version_framed then iter_channel_v2 ?on_frame ic ~f
-    else Error (Printf.sprintf "unsupported version %d" v)
-
-  let iter_file ?on_frame path ~f =
-    let ic = open_in_bin path in
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> iter_channel ?on_frame ic ~f)
-
-  (* Container sniff: magic + version varint only.  Lets callers dispatch
-     between the event-interleaved decoders here and the columnar (v3)
-     decoder of {!Columnar} without reading the body. *)
-  let file_version path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        match really_input_string ic 4 with
-        | exception End_of_file ->
-          Error (Printf.sprintf "empty or truncated file (offset %d)" (pos_in ic))
-        | m -> if m <> magic then Error "bad magic" else get_uvarint_ch ic)
 end
 
 module Columnar = struct

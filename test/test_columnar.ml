@@ -9,9 +9,11 @@
      strict-raise parity;
    - corruption: the strict reader rejects (never raises on) byte
      flips and truncations; the lenient reader pins the exact lost
-     event range, mirroring the Binfmt v2 guarantees;
-   - [Stream.of_binary_file] auto-detects the v3 container and cuts
-     segments at frame boundaries. *)
+     event range;
+   - retired containers (v1, v2) and unknown versions are rejected by
+     every reader with one exact message;
+   - [Stream.of_binary_file] reads the v3 container and cuts segments
+     at frame boundaries. *)
 
 open Prefix_trace
 module Executor = Prefix_runtime.Executor
@@ -121,13 +123,13 @@ let prop_roundtrip_soup =
       | Ok p -> Packed.to_trace p |> Trace.to_list = es
       | Error _ -> false)
 
+(* The retired framed v2 format took 23,865 bytes for this trace (its
+   size when v2 was removed); the columnar container must stay below. *)
 let test_compact_vs_v2 () =
-  let trace = workload_trace () in
-  let v2 = Bytes.length (Binfmt.to_bytes_framed trace) in
-  let v3 = Bytes.length (Columnar.to_bytes (Packed.of_trace trace)) in
+  let v3 = Bytes.length (Columnar.to_bytes (Packed.of_trace (workload_trace ()))) in
   Alcotest.(check bool)
-    (Printf.sprintf "columnar (%d B) smaller than v2 framed (%d B)" v3 v2)
-    true (v3 < v2)
+    (Printf.sprintf "columnar (%d B) smaller than v2 framed (23865 B)" v3)
+    true (v3 < 23_865)
 
 (* ---- replay equivalence over the file path ---- *)
 
@@ -254,6 +256,26 @@ let frame_offsets data =
   done;
   !acc
 
+(* Ways to damage the frame whose marker is at [off]: past its header,
+   a byte flip or a few inserted/deleted payload bytes lose exactly that
+   frame; one byte inserted just before its marker displaces the frame
+   intact, so the lenient walk must find it again one byte on. *)
+let splice d ~pos ~del ~ins =
+  let n = Bytes.length d in
+  Bytes.concat Bytes.empty
+    [ Bytes.sub d 0 pos; Bytes.of_string ins; Bytes.sub d (pos + del) (n - pos - del) ]
+
+let frame_damage =
+  [ ( "flip",
+      true,
+      fun d off ->
+        let d = Bytes.copy d in
+        Bytes.set d (off + 24) (Char.chr (Char.code (Bytes.get d (off + 24)) lxor 0x40));
+        d );
+    ("insert", true, fun d off -> splice d ~pos:(off + 24) ~del:0 ~ins:"\x11\x22\x33");
+    ("delete", true, fun d off -> splice d ~pos:(off + 24) ~del:3 ~ins:"");
+    ("insert before marker", false, fun d off -> splice d ~pos:off ~del:0 ~ins:"\x00") ]
+
 let test_lenient_exact_loss () =
   let trace = workload_trace () in
   let total = Trace.length trace in
@@ -265,31 +287,35 @@ let test_lenient_exact_loss () =
     ((total + frame_events - 1) / frame_events)
     frames;
   List.iter
-    (fun k ->
-      let d = Bytes.copy data in
-      let pos = List.nth offsets k + 24 in
-      Bytes.set d pos (Char.chr (Char.code (Bytes.get d pos) lxor 0x40));
-      match Columnar.read_lenient d with
-      | Error e -> Alcotest.fail e
-      | Ok l ->
-        let lost_from = k * frame_events in
-        let lost_to = min total ((k + 1) * frame_events) in
-        Alcotest.(check (list (pair int int)))
-          (Printf.sprintf "lost range of frame %d" k)
-          [ (lost_from, lost_to) ]
-          (List.map
-             (fun (r : Binfmt.lost_range) -> (r.lost_from, r.lost_to))
-             l.Columnar.cl_lost);
-        Alcotest.(check int) "events lost" (lost_to - lost_from)
-          (Columnar.lenient_events_lost l);
-        Alcotest.(check int) "events recovered"
-          (total - (lost_to - lost_from))
-          (Packed.length l.Columnar.cl_packed);
-        Alcotest.(check int) "frames ok" (frames - 1) l.Columnar.cl_frames_ok;
-        Alcotest.(check int) "frames skipped" 1 l.Columnar.cl_frames_skipped;
-        Alcotest.(check (option int)) "footer total" (Some total)
-          l.Columnar.cl_total_events)
-    [ 0; frames / 2; frames - 1 ]
+    (fun (how, loses, damage) ->
+      List.iter
+        (fun k ->
+          match Columnar.read_lenient (damage data (List.nth offsets k)) with
+          | Error e -> Alcotest.fail e
+          | Ok l ->
+            let lost_from = k * frame_events in
+            let lost_to = if loses then min total ((k + 1) * frame_events) else lost_from in
+            let what = Printf.sprintf "%s, frame %d" how k in
+            Alcotest.(check (list (pair int int)))
+              (what ^ ": lost range")
+              (if loses then [ (lost_from, lost_to) ] else [])
+              (List.map
+                 (fun (r : Binfmt.lost_range) -> (r.lost_from, r.lost_to))
+                 l.Columnar.cl_lost);
+            Alcotest.(check int) (what ^ ": events lost") (lost_to - lost_from)
+              (Columnar.lenient_events_lost l);
+            Alcotest.(check int) (what ^ ": events recovered")
+              (total - (lost_to - lost_from))
+              (Packed.length l.Columnar.cl_packed);
+            Alcotest.(check int) (what ^ ": frames ok")
+              (if loses then frames - 1 else frames)
+              l.Columnar.cl_frames_ok;
+            Alcotest.(check int) (what ^ ": frames skipped") 1
+              l.Columnar.cl_frames_skipped;
+            Alcotest.(check (option int)) (what ^ ": footer total") (Some total)
+              l.Columnar.cl_total_events)
+        [ 0; frames / 2; frames - 1 ])
+    frame_damage
 
 let test_lenient_truncation () =
   let trace = workload_trace () in
@@ -303,13 +329,37 @@ let test_lenient_truncation () =
     Alcotest.(check bool) "something recovered" true
       (Packed.length l.Columnar.cl_packed > 0)
 
+(* Headers of containers this build no longer reads: the retired v1
+   (unframed) and v2 (framed, row-wise) formats, and an unknown v4.
+   Each is the magic, the version varint and a plausible body. *)
+let retired_headers =
+  [ (1, "PFXT\001\000");
+    (2, "PFXT\002FEND\000\000\000\000\000\000");
+    (4, "PFXT\004FEND\000\000\000\000\000\000") ]
+
 let test_rejects_v2_version () =
-  (* A v2 file is not a columnar container (and vice versa the version
-     sniff in [Stream.of_binary_file] routes each to its decoder). *)
-  let trace = workload_trace () in
-  match Columnar.read (Binfmt.to_bytes_framed trace) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "columnar reader accepted a v2 file"
+  List.iter
+    (fun (v, header) ->
+      let expected = Printf.sprintf "unsupported version %d (columnar is 3)" v in
+      let data = Bytes.of_string header in
+      let what reader = Printf.sprintf "v%d %s" v reader in
+      let check reader r =
+        Alcotest.(check (result unit string)) (what reader) (Error expected) r
+      in
+      check "read" (Result.map ignore (Columnar.read data));
+      check "read_lenient" (Result.map ignore (Columnar.read_lenient data));
+      let path = Filename.temp_file "prefix_retired" ".pfxt" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc -> output_bytes oc data);
+          check "read_file" (Result.map ignore (Columnar.read_file path));
+          check "read_file_lenient" (Result.map ignore (Columnar.read_file_lenient path));
+          match Stream.length (Stream.of_binary_file path) with
+          | _ -> Alcotest.failf "%s: accepted" (what "of_binary_file")
+          | exception Failure msg ->
+            Alcotest.(check string) (what "of_binary_file") (path ^ ": " ^ expected) msg))
+    retired_headers
 
 (* ---- stream integration ---- *)
 

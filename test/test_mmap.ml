@@ -2,13 +2,13 @@
 
    - [Bigio]: mapped and read-fallback loads are byte-identical, empty
      files yield the empty region, slicing is bounds-checked;
-   - differential decode: for every container version (v1, v2, v3) the
-     region decoders ([Binfmt.iter_big], [Columnar.iter_big],
-     [Stream.of_binary_file]) observe exactly the events, frame cuts
-     and strict rejections of the channel decoders kept in
-     [Container_oracle], and the lenient readers the kept events, lost
-     ranges and frame counts of its bytes lenient walkers — on clean
-     files, qcheck event soup and corrupted bytes alike;
+   - differential decode: the columnar region decoders
+     ([Columnar.iter_big], [Stream.of_binary_file]) observe exactly the
+     frames, segment cuts and strict rejections of the channel decoder
+     kept in [Container_oracle], and the lenient readers the kept
+     events, lost ranges and frame counts of its bytes lenient walker —
+     on clean files, qcheck event soup and corrupted bytes (flips,
+     insertions, deletions, truncation) alike;
    - pipeline equivalence: [Stream.prefetched] emits its inner
      stream's exact segment sequence and [Executor.run_stream_many]
      matches per-policy [Executor.run_stream] outcome-for-outcome. *)
@@ -42,7 +42,7 @@ let with_file data k =
 let bigio_bytes (b : Bigio.t) = Bytes.init (Bigio.length b) (Bigio.get b)
 
 let test_bigio_load_equivalence () =
-  let data = Binfmt.to_bytes_framed (workload_trace ()) in
+  let data = Columnar.to_bytes (Packed.of_trace (workload_trace ())) in
   with_file data (fun path ->
       let mapped = Bigio.load path in
       let copied = Bigio.load ~mmap:false path in
@@ -79,59 +79,25 @@ let test_bigio_missing_file () =
 
 (* ---- differential decode: channel oracle vs region decoders ---- *)
 
-(* Collect what a v1/v2 decode observes, tagging frame cuts, so the
-   comparison covers segmentation, not just the event list. *)
-type obs = Ev of Event.t | Frame
-
-let binfmt_channel_obs path =
-  let acc = ref [] in
-  let r =
-    Oracle.Binfmt.iter_file ~on_frame:(fun () -> acc := Frame :: !acc) path
-      ~f:(fun e -> acc := Ev e :: !acc)
-  in
-  (r, List.rev !acc)
-
-let binfmt_big_obs big =
-  let acc = ref [] in
-  let r =
-    Binfmt.iter_big ~on_frame:(fun () -> acc := Frame :: !acc) big
-      ~f:(fun e -> acc := Ev e :: !acc)
-  in
-  (r, List.rev !acc)
-
-let check_binfmt_same what data =
-  with_file data (fun path ->
-      let ch = binfmt_channel_obs path in
-      List.iter
-        (fun mmap ->
-          let bg = binfmt_big_obs (Bigio.load ~mmap path) in
-          if ch <> bg then
-            Alcotest.failf "%s (mmap:%b): channel and bigstring decodes differ"
-              what mmap)
-        [ true; false ])
-
-let test_binfmt_big_clean () =
-  let trace = workload_trace () in
-  check_binfmt_same "v1" (Binfmt.to_bytes trace);
-  check_binfmt_same "v2" (Binfmt.to_bytes_framed trace);
-  check_binfmt_same "v2, small frames" (Binfmt.to_bytes_framed ~frame_events:17 trace);
-  check_binfmt_same "empty trace" (Binfmt.to_bytes_framed (Trace.of_list []))
-
+(* The sniff reads any version varint, including the retired v1/v2
+   containers and unknown ones, which the readers then reject. *)
 let test_big_version () =
   let trace = workload_trace () in
   List.iter
     (fun (what, data, version) ->
-      with_file data (fun path ->
-          Alcotest.(check (result int string)) what (Ok version)
-            (Binfmt.big_version (Bigio.load path));
-          Alcotest.(check (result int string)) (what ^ " = channel sniff")
-            (Oracle.Binfmt.file_version path)
-            (Binfmt.big_version (Bigio.load path))))
-    [ ("v1", Binfmt.to_bytes trace, Binfmt.version);
-      ("v2", Binfmt.to_bytes_framed trace, Binfmt.version_framed);
-      ( "v3",
-        Columnar.to_bytes (Packed.of_trace trace),
-        Columnar.version_columnar ) ]
+      with_file (Bytes.of_string data) (fun path ->
+          List.iter
+            (fun mmap ->
+              Alcotest.(check (result int string)) what version
+                (Binfmt.big_version (Bigio.load ~mmap path)))
+            [ true; false ]))
+    [ ("v1 header", "PFXT\001\000", Ok 1);
+      ("v2 header", "PFXT\002FEND", Ok 2);
+      ("v3", Bytes.to_string (Columnar.to_bytes (Packed.of_trace trace)), Ok 3);
+      ("v300", "PFXT\xac\x02", Ok 300);
+      ("bad magic", "PFXZ\003", Error "bad magic");
+      ("empty", "", Error "empty or truncated file (offset 0)");
+      ("no version", "PFXT", Error "truncated varint") ]
 
 let columnar_channel_frames path =
   let acc = ref [] in
@@ -183,30 +149,64 @@ let soup_gen =
     in
     list_size (int_range 0 300) ev)
 
-(* Corruption differential: flip bytes / truncate, then require the
-   channel and bigstring strict decoders to agree on the full
-   observation — same events, same frame cuts, same rejection (by
-   message) or acceptance. *)
+(* Corruption differential: flip, insert and delete bytes, then
+   truncate, and require the region and reference decoders to agree on
+   the full observation — same frames, same rejection (by message) or
+   acceptance.  Insertions and deletions shift every marker after them,
+   so the lenient walk has to find its next frame by rescanning. *)
+type edit = Flip of int * int | Insert of int * int | Delete of int
+
 let corrupt_gen base =
   let n = Bytes.length base in
+  (* Half the edits land within a few bytes of a frame or footer
+     marker, where a resync that starts its rescan too late would miss
+     the displaced marker. *)
+  let markers =
+    Array.of_list
+      (List.filter
+         (fun p ->
+           let m = Bytes.sub_string base p 4 in
+           m = Binfmt.frame_marker || m = Binfmt.footer_marker)
+         (List.init (max 0 (n - 3)) Fun.id))
+  in
   QCheck.Gen.(
+    let pos =
+      if markers = [||] then int_range 0 (max 0 (n - 1))
+      else
+        oneof
+          [ int_range 0 (n - 1);
+            map2
+              (fun i d -> max 0 (min (n - 1) (markers.(i) + d)))
+              (int_range 0 (Array.length markers - 1))
+              (int_range (-2) 2) ]
+    in
     pair
-      (list_size (int_range 0 6) (pair (int_range 0 (max 0 (n - 1))) (int_range 0 255)))
+      (list_size (int_range 0 6)
+         (oneof
+            [ map2 (fun p v -> Flip (p, v)) pos (int_range 0 255);
+              map2 (fun p v -> Insert (p, v)) pos (int_range 0 255);
+              map (fun p -> Delete p) pos ]))
       (int_range 0 n))
 
-let corrupted base (flips, keep) =
-  let data = Bytes.sub base 0 keep in
-  List.iter (fun (pos, v) -> if pos < keep then Bytes.set data pos (Char.chr v)) flips;
-  data
-
-let prop_binfmt_big_differential =
-  let base = Binfmt.to_bytes_framed ~frame_events:32 (workload_trace ()) in
-  QCheck.Test.make ~name:"binfmt bigstring decode ≡ channel decode under corruption"
-    ~count:250
-    (QCheck.make (corrupt_gen base))
-    (fun c ->
-      with_file (corrupted base c) (fun path ->
-          binfmt_channel_obs path = binfmt_big_obs (Bigio.load path)))
+let corrupted base (edits, keep) =
+  let data =
+    List.fold_left
+      (fun d e ->
+        let n = Bytes.length d in
+        match e with
+        | Flip (p, v) when p < n ->
+          let d = Bytes.copy d in
+          Bytes.set d p (Char.chr v);
+          d
+        | Insert (p, v) when p <= n ->
+          Bytes.concat Bytes.empty
+            [ Bytes.sub d 0 p; Bytes.make 1 (Char.chr v); Bytes.sub d p (n - p) ]
+        | Delete p when p < n ->
+          Bytes.cat (Bytes.sub d 0 p) (Bytes.sub d (p + 1) (n - p - 1))
+        | _ -> d)
+      base edits
+  in
+  Bytes.sub data 0 (min keep (Bytes.length data))
 
 let prop_columnar_big_differential =
   let base =
@@ -219,35 +219,8 @@ let prop_columnar_big_differential =
       with_file (corrupted base c) (fun path ->
           columnar_channel_frames path = columnar_big_frames (Bigio.load path)))
 
-(* The v2 writer encodes ids/sizes as unsigned varints, so feed it
-   non-negative soup (the signed extremes are covered by the columnar
-   round-trip tests). *)
-let unsigned_soup_gen =
-  QCheck.Gen.(
-    let ev =
-      oneof
-        [ (fun st ->
-            (Event.Alloc
-               { obj = int_range 0 50 st; site = int_range 0 5 st;
-                 ctx = int_range 0 5 st; size = int_range 1 200 st;
-                 thread = int_range 0 2 st } : Event.t));
-          (fun st ->
-            Event.Access
-              { obj = int_range 0 50 st; offset = int_range 0 200 st;
-                write = bool st; thread = int_range 0 2 st });
-          (fun st -> Event.Free { obj = int_range 0 50 st; thread = int_range 0 2 st });
-          (fun st ->
-            Event.Realloc
-              { obj = int_range 0 50 st; new_size = int_range 1 200 st;
-                thread = int_range 0 2 st });
-          (fun st ->
-            Event.Compute { instrs = int_range 0 100 st; thread = int_range 0 2 st }) ]
-    in
-    list_size (int_range 0 300) ev)
-
 (* The segments [Stream.of_binary_file] cut, rebuilt over the channel
-   oracle: v1/v2 events go through a refill buffer flushed at every
-   frame, v3 frames pass whole when they fit an empty buffer and are
+   oracle: frames pass whole when they fit an empty buffer and are
    blitted in otherwise. *)
 let oracle_segments ~segment_events path =
   let acc = ref [] in
@@ -263,7 +236,7 @@ let oracle_segments ~segment_events path =
       Packed.Buf.clear buf
     end
   in
-  let on_columnar_frame frame =
+  let on_frame frame =
     let n = Packed.length frame in
     if n <= segment_events && Packed.Buf.length buf = 0 then emit frame
     else begin
@@ -277,22 +250,12 @@ let oracle_segments ~segment_events path =
       flush ()
     end
   in
-  let on_event e =
-    Packed.Buf.add buf e;
-    if Packed.Buf.is_full buf then flush ()
-  in
-  let r =
-    match Oracle.Binfmt.file_version path with
-    | Error _ as e -> e
-    | Ok v when v = Columnar.version_columnar ->
-      Oracle.Columnar.iter_file path ~f:on_columnar_frame
-    | Ok _ -> Oracle.Binfmt.iter_file path ~on_frame:flush ~f:on_event
-  in
+  let r = Oracle.Columnar.iter_file path ~f:on_frame in
   Result.map (fun () -> flush (); List.rev !acc) r
 
 let prop_stream_segments_match_oracle =
-  QCheck.Test.make ~name:"stream segments ≡ channel-oracle segments (v2 and v3)"
-    ~count:120 (QCheck.make unsigned_soup_gen)
+  QCheck.Test.make ~name:"stream segments ≡ channel-oracle segments (v3)"
+    ~count:120 (QCheck.make soup_gen)
     (fun es ->
       let trace = Trace.of_list es in
       let same data =
@@ -303,20 +266,11 @@ let prop_stream_segments_match_oracle =
               (fun ~base seg -> acc := (base, Trace.to_list (Packed.to_trace seg)) :: !acc);
             Ok (List.rev !acc) = oracle_segments ~segment_events:64 path)
       in
-      same (Binfmt.to_bytes_framed ~frame_events:48 trace)
-      && same (Columnar.to_bytes ~frame_events:48 (Packed.of_trace trace)))
+      same (Columnar.to_bytes ~frame_events:48 (Packed.of_trace trace)))
 
 (* ---- lenient decode: region walk vs bytes oracle ---- *)
 
 (* Everything a lenient read reports, in comparable form. *)
-let binfmt_lenient_obs = function
-  | Error e -> Error e
-  | Ok (l : Binfmt.lenient) ->
-    Ok
-      ( Trace.to_list l.lr_trace,
-        List.map (fun (r : Binfmt.lost_range) -> (r.lost_from, r.lost_to)) l.lr_lost,
-        (l.lr_frames_ok, l.lr_frames_skipped, l.lr_total_events) )
-
 let columnar_lenient_obs = function
   | Error e -> Error e
   | Ok (l : Columnar.lenient) ->
@@ -324,18 +278,6 @@ let columnar_lenient_obs = function
       ( Trace.to_list (Packed.to_trace l.cl_packed),
         List.map (fun (r : Binfmt.lost_range) -> (r.lost_from, r.lost_to)) l.cl_lost,
         (l.cl_frames_ok, l.cl_frames_skipped, l.cl_total_events) )
-
-let prop_binfmt_lenient_differential =
-  let base = Binfmt.to_bytes_framed ~frame_events:32 (workload_trace ()) in
-  QCheck.Test.make ~name:"binfmt lenient region decode ≡ bytes lenient oracle"
-    ~count:300
-    (QCheck.make (corrupt_gen base))
-    (fun c ->
-      let data = corrupted base c in
-      let oracle = binfmt_lenient_obs (Oracle.Binfmt.read_lenient data) in
-      binfmt_lenient_obs (Binfmt.read_lenient data) = oracle
-      && with_file data (fun path ->
-             binfmt_lenient_obs (Binfmt.read_file_lenient path) = oracle))
 
 let prop_columnar_lenient_differential =
   let base =
@@ -396,18 +338,6 @@ let reseal_gen =
     pair (int_range 0 10_000)
       (list_size (int_range 1 4) (pair (int_range 0 100_000) (int_range 0 255))))
 
-let prop_binfmt_resealed_differential =
-  let base = Binfmt.to_bytes_framed ~frame_events:32 (workload_trace ()) in
-  QCheck.Test.make
-    ~name:"binfmt strict and lenient ≡ oracles on CRC-valid payload corruption"
-    ~count:250 (QCheck.make reseal_gen)
-    (fun c ->
-      let data = resealed base c in
-      with_file data (fun path ->
-          binfmt_channel_obs path = binfmt_big_obs (Bigio.load path)
-          && binfmt_lenient_obs (Binfmt.read_lenient data)
-             = binfmt_lenient_obs (Oracle.Binfmt.read_lenient data)))
-
 let prop_columnar_resealed_differential =
   let base =
     Columnar.to_bytes ~frame_events:32 (Packed.of_trace (workload_trace ()))
@@ -421,23 +351,6 @@ let prop_columnar_resealed_differential =
           columnar_channel_frames path = columnar_big_frames (Bigio.load path)
           && columnar_lenient_obs (Columnar.read_lenient data)
              = columnar_lenient_obs (Oracle.Columnar.read_lenient data)))
-
-(* Offsets in a v2 payload error are payload-relative, as the channel
-   decoder, which decodes each payload from its own buffer, reports
-   them. *)
-let test_binfmt_payload_error_offset () =
-  let base =
-    Binfmt.to_bytes_framed ~frame_events:4
-      (Trace.of_list (List.init 8 (fun i -> Event.Compute { instrs = i; thread = 0 })))
-  in
-  (* The second frame's first tag byte becomes 9. *)
-  let data = resealed base (1, [ (0, 9) ]) in
-  let expected = Error "unknown tag 9 at offset 0" in
-  Alcotest.(check (result unit string)) "region decode" expected
-    (Result.map ignore (Binfmt.read data));
-  with_file data (fun path ->
-      Alcotest.(check (result unit string)) "channel oracle" expected
-        (Oracle.Binfmt.iter_file path ~f:ignore))
 
 (* ---- pipeline equivalence ---- *)
 
@@ -555,21 +468,14 @@ let suite =
         Alcotest.test_case "missing file raises Sys_error" `Quick
           test_bigio_missing_file ] );
     ( "mmap-decode",
-      [ Alcotest.test_case "binfmt bigstring ≡ channel on clean v1/v2" `Quick
-          test_binfmt_big_clean;
-        Alcotest.test_case "big_version sniffs every container" `Quick
+      [ Alcotest.test_case "big_version sniffs every container" `Quick
           test_big_version;
         Alcotest.test_case "columnar bigstring ≡ channel on clean v3" `Quick
           test_columnar_big_clean;
-        QCheck_alcotest.to_alcotest prop_binfmt_big_differential;
         QCheck_alcotest.to_alcotest prop_columnar_big_differential;
         QCheck_alcotest.to_alcotest prop_stream_segments_match_oracle;
-        QCheck_alcotest.to_alcotest prop_binfmt_lenient_differential;
         QCheck_alcotest.to_alcotest prop_columnar_lenient_differential;
-        QCheck_alcotest.to_alcotest prop_binfmt_resealed_differential;
-        QCheck_alcotest.to_alcotest prop_columnar_resealed_differential;
-        Alcotest.test_case "v2 payload errors give payload offsets" `Quick
-          test_binfmt_payload_error_offset ] );
+        QCheck_alcotest.to_alcotest prop_columnar_resealed_differential ] );
     ( "replay-pipeline",
       [ Alcotest.test_case "prefetched emits identical segments" `Quick
           test_prefetched_segments;

@@ -1,7 +1,15 @@
-(* Tests for the trace pruner and the binary trace format. *)
+(* Tests for the trace pruner and the frame envelope of the on-disk
+   trace container ([Binfmt]).
+
+   The envelope tests carry a text payload (the events'
+   [Serialize.event_to_line] lines), not the columnar one, so they pin
+   the frame layout — writing, strict walk, lenient walk — apart from
+   any payload codec.  The columnar payload itself is tested in
+   [Test_columnar]. *)
 
 open Prefix_trace
 module B = Prefix_workloads.Builder
+module Bigio = Prefix_util.Bigio
 
 (* ---- Pruner ---- *)
 
@@ -72,99 +80,146 @@ let test_prune_keeps_instance_numbering () =
       Alcotest.(check int) "same site" o.site o'.site)
     (Trace_stats.objects s1)
 
-(* ---- Binary format ---- *)
+(* ---- the frame envelope ---- *)
 
+let ( let* ) = Result.bind
+
+(* One frame per chunk of events; the payload is the chunk's text. *)
+let frame_of_events es =
+  (List.length es, String.concat "" (List.map (fun e -> Serialize.event_to_line e ^ "\n") es))
+
+let rec chunks n = function
+  | [] -> []
+  | l ->
+    let rec take k acc = function
+      | x :: rest when k > 0 -> take (k - 1) (x :: acc) rest
+      | rest -> (List.rev acc, rest)
+    in
+    let c, rest = take n [] l in
+    c :: chunks n rest
+
+let text_frames ~frame_events trace =
+  List.map frame_of_events (chunks frame_events (Trace.to_list trace))
+
+(* A container of the given (event count, payload) frames. *)
+let envelope frames =
+  let buf = Buffer.create 4096 in
+  let w = Binfmt.start buf ~version:Columnar.version_columnar in
+  let payload = Buffer.create 256 in
+  List.iter
+    (fun (events, s) ->
+      Buffer.clear payload;
+      Buffer.add_string payload s;
+      Binfmt.add_frame w ~events payload)
+    frames;
+  Binfmt.finish w;
+  Buffer.to_bytes buf
+
+let frame_payload big ~frame_off:_ ~pos ~plen ~events =
+  Ok (events, Bigio.sub_string big ~pos ~len:plen)
+
+(* The frames a strict walk hands to its payload codec. *)
+let walk data =
+  let big = Bigio.of_bytes data in
+  let* c, _ = Binfmt.header big in
+  let acc = ref [] in
+  let* () =
+    Binfmt.walk_frames c ~frame:(fun ~frame_off ~pos ~plen ~events ->
+        Result.map (fun f -> acc := f :: !acc) (frame_payload big ~frame_off ~pos ~plen ~events))
+  in
+  Ok (List.rev !acc)
+
+(* The frames a lenient walk keeps, and its report. *)
+let walk_lenient data =
+  let big = Bigio.of_bytes data in
+  let* c, _ = Binfmt.header big in
+  let acc = ref [] in
+  let r =
+    Binfmt.walk_frames_lenient c ~frame:(frame_payload big) ~keep:(fun f -> acc := f :: !acc)
+  in
+  Ok (List.rev !acc, r)
+
+let workload name =
+  let w = Prefix_workloads.Registry.find name in
+  w.generate ~scale:Prefix_workloads.Workload.Profiling ~seed:7 ()
+
+(* Writer and strict walk agree frame for frame on workload traces,
+   and the columnar container over the same envelope decodes back to
+   the trace. *)
 let test_binfmt_roundtrip_workloads () =
   List.iter
     (fun name ->
-      let w = Prefix_workloads.Registry.find name in
-      let trace = w.generate ~scale:Prefix_workloads.Workload.Profiling ~seed:7 () in
-      match Binfmt.read (Binfmt.to_bytes trace) with
+      let trace = workload name in
+      let frames = text_frames ~frame_events:1000 trace in
+      Alcotest.(check (result (list (pair int string)) string))
+        (name ^ " frames") (Ok frames) (walk (envelope frames));
+      match Columnar.read (Columnar.to_bytes (Packed.of_trace trace)) with
       | Error e -> Alcotest.failf "%s: %s" name e
-      | Ok trace' ->
-        Alcotest.(check int) (name ^ " length") (Trace.length trace) (Trace.length trace');
-        (* spot-check a few events *)
-        List.iter
-          (fun i ->
-            Alcotest.(check string) (name ^ " event")
-              (Event.to_string (Trace.get trace i))
-              (Event.to_string (Trace.get trace' i)))
-          [ 0; Trace.length trace / 2; Trace.length trace - 1 ])
+      | Ok p ->
+        Alcotest.(check bool) (name ^ " columnar events") true
+          (Trace.to_list (Packed.to_trace p) = Trace.to_list trace))
     [ "mcf"; "libc"; "swissmap" ]
 
 let test_binfmt_compact () =
-  let w = Prefix_workloads.Registry.find "libc" in
-  let trace = w.generate ~scale:Prefix_workloads.Workload.Profiling ~seed:7 () in
-  let binary = Bytes.length (Binfmt.to_bytes trace) in
+  let trace = workload "libc" in
+  let binary = Bytes.length (Columnar.to_bytes (Packed.of_trace trace)) in
   let text = String.length (Serialize.to_string trace) in
   Alcotest.(check bool)
-    (Printf.sprintf "binary (%d B) at most half of text (%d B)" binary text)
+    (Printf.sprintf "columnar (%d B) at most half of text (%d B)" binary text)
     true
     (binary * 2 < text)
 
 let test_binfmt_rejects_garbage () =
-  (match Binfmt.read (Bytes.of_string "nope") with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted bad magic");
-  (match Binfmt.read (Bytes.of_string "PFXT") with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted truncation");
-  (* valid header claiming one event but no payload *)
-  let buf = Buffer.create 8 in
-  Buffer.add_string buf "PFXT\001\001";
-  match Binfmt.read (Buffer.to_bytes buf) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted missing event"
+  List.iter
+    (fun (what, data, expected) ->
+      Alcotest.(check (result (list (pair int string)) string)) what (Error expected)
+        (walk (Bytes.of_string data)))
+    [ ("bad magic", "nope", "bad magic");
+      ("no version", "PFXT", "truncated varint");
+      ("no frames, no footer", "PFXT\003", "truncated file (missing footer) at offset 5");
+      ( "frame claims a payload it lacks",
+        "PFXT\003FRME\001\000\001",
+        "implausible frame payload length 1 at offset 5" );
+      ("bad marker", "PFXT\003FRMX", "bad frame marker at offset 5") ]
 
 let test_binfmt_file_io () =
-  let w = Prefix_workloads.Registry.find "mcf" in
-  let trace = w.generate ~scale:Prefix_workloads.Workload.Profiling ~seed:7 () in
-  let path = Filename.temp_file "prefix_trace" ".bin" in
+  let trace = workload "mcf" in
+  let path = Filename.temp_file "prefix_trace" ".pfxt" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Binfmt.write_file path trace;
-      match Binfmt.read_file path with
-      | Ok t -> Alcotest.(check int) "roundtrip" (Trace.length trace) (Trace.length t)
+      Columnar.write_file path (Packed.of_trace trace);
+      match Columnar.read_file path with
+      | Ok p -> Alcotest.(check int) "roundtrip" (Trace.length trace) (Packed.length p)
       | Error e -> Alcotest.fail e)
 
-let prop_binfmt_roundtrip =
-  let gen =
-    QCheck.Gen.(
-      list_size (int_range 0 80)
-        (oneof
-           [ map3
-               (fun o s size -> Event.Alloc { obj = o; site = s; ctx = s; size = size + 1; thread = 0 })
-               (int_range 1 1000) (int_range 1 50) (int_range 0 5000);
-             map2
-               (fun o off -> Event.Access { obj = o; offset = off; write = off mod 2 = 0; thread = 0 })
-               (int_range 1 1000) (int_range 0 10_000);
-             map (fun o -> Event.Free { obj = o; thread = 0 }) (int_range 1 1000);
-             map2 (fun o s -> Event.Realloc { obj = o; new_size = s + 1; thread = 0 })
-               (int_range 1 1000) (int_range 0 5000);
-             map (fun n -> Event.Compute { instrs = n; thread = 0 }) (int_range 0 100_000) ]))
-  in
-  QCheck.Test.make ~name:"binfmt roundtrips arbitrary event lists" ~count:300
-    (QCheck.make gen)
-    (fun es ->
-      let t = Trace.of_list es in
-      match Binfmt.read (Binfmt.to_bytes t) with
-      | Ok t' -> Trace.to_list t' = es
-      | Error _ -> false)
+let event_gen =
+  QCheck.Gen.(
+    oneof
+      [ map3
+          (fun o s size -> Event.Alloc { obj = o; site = s; ctx = s; size = size + 1; thread = 0 })
+          (int_range 1 1000) (int_range 1 50) (int_range 0 5000);
+        map2
+          (fun o off -> Event.Access { obj = o; offset = off; write = off mod 2 = 0; thread = 0 })
+          (int_range 1 1000) (int_range 0 10_000);
+        map (fun o -> Event.Free { obj = o; thread = 0 }) (int_range 1 1000);
+        map2 (fun o s -> Event.Realloc { obj = o; new_size = s + 1; thread = 0 })
+          (int_range 1 1000) (int_range 0 5000);
+        map (fun n -> Event.Compute { instrs = n; thread = 0 }) (int_range 0 100_000) ])
 
-(* Decode fuzz: random byte flips and truncations of a valid encoding
-   must yield [Ok] or [Error] — never an exception (and never an
-   absurd allocation). *)
+let prop_binfmt_roundtrip =
+  QCheck.Test.make ~name:"binfmt roundtrips arbitrary event lists, one frame per list"
+    ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 8) (list_size (int_range 0 40) event_gen)))
+    (fun lists ->
+      let frames = List.map frame_of_events lists in
+      walk (envelope frames) = Ok frames)
+
+(* Decode fuzz: random byte edits and truncations of a valid envelope
+   must yield [Ok] or [Error] from either walk — never an exception
+   (and never an absurd allocation). *)
 let prop_binfmt_decode_fuzz =
-  let base =
-    let b = B.create ~seed:33 () in
-    let objs = Array.init 8 (fun i -> B.alloc b ~site:(i + 1) (32 * (i + 1))) in
-    for k = 0 to 199 do
-      B.access b objs.(k mod 8) (k mod 32)
-    done;
-    Array.iter (fun o -> B.free b o) objs;
-    Binfmt.to_bytes (B.trace b)
-  in
+  let base = envelope (text_frames ~frame_events:50 (workload "mcf")) in
   let n = Bytes.length base in
   let gen =
     QCheck.Gen.(
@@ -180,8 +235,8 @@ let prop_binfmt_decode_fuzz =
         (fun (pos, v) ->
           if pos < keep then Bytes.set data pos (Char.chr v))
         flips;
-      match Binfmt.read data with
-      | Ok _ | Error _ -> true
+      match (walk data, walk_lenient data) with
+      | _ -> true
       | exception _ -> false)
 
 (* ---- varint extremes ---- *)
@@ -192,8 +247,8 @@ let prop_binfmt_decode_fuzz =
    shift) and the decoder must accept an accumulator whose top bit is
    set.  This was broken before [put_uvarint63]/[get_uvarint63]. *)
 let cursor_of_buffer buf =
-  let big = Prefix_util.Bigio.of_bytes (Buffer.to_bytes buf) in
-  { Binfmt.big; pos = 0; limit = Prefix_util.Bigio.length big }
+  let big = Bigio.of_bytes (Buffer.to_bytes buf) in
+  { Binfmt.big; pos = 0; limit = Bigio.length big }
 
 let varint_roundtrip n =
   let buf = Buffer.create 10 in
@@ -219,79 +274,65 @@ let prop_varint_roundtrip =
       let c = cursor_of_buffer buf in
       Binfmt.get_varint c = Ok n && c.Binfmt.pos = c.Binfmt.limit)
 
+(* The unsigned primitives the frame headers use, at their extremes:
+   [max_int] round-trips, a negative is refused on write, and a decoded
+   sign bit or a tenth byte is corruption. *)
 let test_event_int_extremes () =
-  (* Whole events at the integer extremes, through v1 and v2.  The
-     signed (delta-coded) fields — obj, site, ctx — span the full
-     [int] range; sizes, offsets, threads and instruction counts are
-     unsigned on this wire, so their extreme is [max_int]. *)
-  let es : Event.t list =
-    [ Alloc { obj = max_int; site = max_int; ctx = max_int; size = max_int; thread = max_int };
-      Access { obj = min_int; offset = max_int; write = true; thread = 0 };
-      Alloc { obj = min_int; site = min_int; ctx = min_int; size = 0; thread = 0 };
-      Realloc { obj = min_int; new_size = max_int; thread = 0 };
-      Compute { instrs = max_int; thread = 1 };
-      Free { obj = max_int; thread = max_int } ]
-  in
-  let t = Trace.of_list es in
-  (match Binfmt.read (Binfmt.to_bytes t) with
-  | Error e -> Alcotest.failf "v1: %s" e
-  | Ok t' -> Alcotest.(check bool) "v1 roundtrip" true (Trace.to_list t' = es));
-  match Binfmt.read (Binfmt.to_bytes_framed ~frame_events:2 t) with
-  | Error e -> Alcotest.failf "v2: %s" e
-  | Ok t' -> Alcotest.(check bool) "v2 roundtrip" true (Trace.to_list t' = es)
+  let buf = Buffer.create 16 in
+  Binfmt.put_uvarint buf max_int;
+  Binfmt.put_u32le buf 0xffff_ffff;
+  let c = cursor_of_buffer buf in
+  Alcotest.(check (result int string)) "uvarint max_int" (Ok max_int) (Binfmt.get_uvarint c);
+  Alcotest.(check (result int string)) "u32 max" (Ok 0xffff_ffff) (Binfmt.get_u32le c);
+  Alcotest.(check (result int string)) "u32 truncated" (Error "truncated checksum")
+    (Binfmt.get_u32le c);
+  (match Binfmt.put_uvarint buf (-1) with
+  | () -> Alcotest.fail "wrote a negative unsigned varint"
+  | exception Invalid_argument _ -> ());
+  let decode s = Binfmt.get_uvarint (cursor_of_buffer (Buffer.of_seq (String.to_seq s))) in
+  Alcotest.(check (result int string)) "sign bit" (Error "varint overflows")
+    (decode "\xff\xff\xff\xff\xff\xff\xff\xff\x7f");
+  Alcotest.(check (result int string)) "ten bytes" (Error "varint too long")
+    (decode "\x80\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01");
+  Alcotest.(check (result int string)) "truncated" (Error "truncated varint") (decode "\x80")
 
-(* ---- framed (v2) format ---- *)
+(* ---- frames ---- *)
 
-let framed_input =
-  lazy
-    (let w = Prefix_workloads.Registry.find "libc" in
-     w.generate ~scale:Prefix_workloads.Workload.Profiling ~seed:7 ())
-
-let check_same_trace name a b =
-  Alcotest.(check int) (name ^ " length") (Trace.length a) (Trace.length b);
-  List.iter
-    (fun i ->
-      Alcotest.(check string)
-        (Printf.sprintf "%s event %d" name i)
-        (Event.to_string (Trace.get a i))
-        (Event.to_string (Trace.get b i)))
-    [ 0; Trace.length a / 3; Trace.length a / 2; Trace.length a - 1 ]
+let framed_input = lazy (workload "libc")
 
 let test_framed_roundtrip_small_frames () =
   let trace = Lazy.force framed_input in
   List.iter
     (fun frame_events ->
-      match Binfmt.read (Binfmt.to_bytes_framed ~frame_events trace) with
-      | Error e -> Alcotest.failf "frame_events %d: %s" frame_events e
-      | Ok t ->
-        check_same_trace (Printf.sprintf "frames of %d" frame_events) trace t)
+      let frames = text_frames ~frame_events trace in
+      Alcotest.(check int)
+        (Printf.sprintf "frames of %d: count" frame_events)
+        ((Trace.length trace + frame_events - 1) / frame_events)
+        (List.length frames);
+      Alcotest.(check (result (list (pair int string)) string))
+        (Printf.sprintf "frames of %d" frame_events)
+        (Ok frames) (walk (envelope frames)))
     [ 1; 7; 1000; 1_000_000 ]
 
-let test_framed_matches_v1_decode () =
-  let trace = Lazy.force framed_input in
-  match
-    (Binfmt.read (Binfmt.to_bytes trace),
-     Binfmt.read (Binfmt.to_bytes_framed ~frame_events:999 trace))
-  with
-  | Ok v1, Ok v2 -> check_same_trace "v1 vs v2" v1 v2
-  | Error e, _ | _, Error e -> Alcotest.fail e
+let framed_data = lazy (envelope (text_frames ~frame_events:200 (Lazy.force framed_input)))
 
 let test_framed_strict_rejects_corruption () =
-  let trace = Lazy.force framed_input in
-  let data = Binfmt.to_bytes_framed ~frame_events:1000 trace in
+  let data = Lazy.force framed_data in
   let n = Bytes.length data in
   List.iter
     (fun pos ->
       let d = Bytes.copy data in
       Bytes.set d pos (Char.chr (Char.code (Bytes.get d pos) lxor 0x01));
-      match Binfmt.read d with
-      | Error _ -> ()
+      match walk d with
+      | Error e ->
+        Alcotest.(check bool) (Printf.sprintf "offset %d: %s" pos e) true
+          (String.starts_with ~prefix:"frame CRC mismatch at offset " e)
       | Ok _ -> Alcotest.failf "accepted a flipped byte at offset %d" pos)
     [ n / 4; n / 2; (3 * n) / 4 ];
-  (* Losing the footer is also corruption for the strict reader. *)
-  match Binfmt.read (Bytes.sub data 0 (n - 8)) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted a truncated file"
+  (* Losing the footer is also corruption for the strict walk. *)
+  Alcotest.(check (result (list (pair int string)) string)) "truncated"
+    (Error (Printf.sprintf "truncated file (missing footer) at offset %d" (n - 8)))
+    (walk (Bytes.sub data 0 (n - 8)))
 
 (* Byte offsets of every frame marker, so corruption can be aimed at
    one specific frame. *)
@@ -299,93 +340,107 @@ let frame_offsets data =
   let n = Bytes.length data in
   let acc = ref [] in
   for p = n - 4 downto 0 do
-    if Bytes.sub_string data p 4 = "FRME" then acc := p :: !acc
+    if Bytes.sub_string data p 4 = Binfmt.frame_marker then acc := p :: !acc
   done;
   !acc
 
+let splice d ~pos ~del ~ins =
+  let n = Bytes.length d in
+  Bytes.concat Bytes.empty
+    [ Bytes.sub d 0 pos; Bytes.of_string ins; Bytes.sub d (pos + del) (n - pos - del) ]
+
+(* Damage the k-th frame — a flipped payload byte, inserted or deleted
+   payload bytes — and expect exactly its event range reported lost;
+   a byte inserted just before its marker only displaces it, and the
+   marker rescan must find it again one byte on. *)
 let test_framed_lenient_exact_loss () =
   let trace = Lazy.force framed_input in
   let total = Trace.length trace in
-  let frame_events = 1000 in
-  let data = Binfmt.to_bytes_framed ~frame_events trace in
+  let frame_events = 200 in
+  let frames = text_frames ~frame_events trace in
+  let data = Lazy.force framed_data in
   let offsets = frame_offsets data in
-  let frames = List.length offsets in
-  Alcotest.(check int) "frame count"
-    ((total + frame_events - 1) / frame_events)
-    frames;
-  (* Corrupt exactly the k-th frame (a byte past its marker + header)
-     and expect exactly its event range reported lost. *)
+  let nframes = List.length offsets in
+  Alcotest.(check int) "frame count" (List.length frames) nframes;
+  let damage =
+    [ ( "flip",
+        true,
+        fun off ->
+          let d = Bytes.copy data in
+          Bytes.set d (off + 24) (Char.chr (Char.code (Bytes.get d (off + 24)) lxor 0x40));
+          d );
+      ("insert", true, fun off -> splice data ~pos:(off + 24) ~del:0 ~ins:"\x11\x22\x33");
+      ("delete", true, fun off -> splice data ~pos:(off + 24) ~del:3 ~ins:"");
+      ("insert before marker", false, fun off -> splice data ~pos:off ~del:0 ~ins:"\x00") ]
+  in
   List.iter
-    (fun k ->
-      let d = Bytes.copy data in
-      let pos = List.nth offsets k + 24 in
-      Bytes.set d pos (Char.chr (Char.code (Bytes.get d pos) lxor 0x40));
-      match Binfmt.read_lenient d with
-      | Error e -> Alcotest.fail e
-      | Ok l ->
-        let lost_from = k * frame_events in
-        let lost_to = min total ((k + 1) * frame_events) in
-        Alcotest.(check (list (pair int int)))
-          (Printf.sprintf "lost range of frame %d" k)
-          [ (lost_from, lost_to) ]
-          (List.map
-             (fun r -> (r.Binfmt.lost_from, r.Binfmt.lost_to))
-             l.Binfmt.lr_lost);
-        Alcotest.(check int) "events lost" (lost_to - lost_from)
-          (Binfmt.lenient_events_lost l);
-        Alcotest.(check int) "events recovered"
-          (total - (lost_to - lost_from))
-          (Trace.length l.Binfmt.lr_trace);
-        Alcotest.(check int) "frames ok" (frames - 1) l.Binfmt.lr_frames_ok;
-        Alcotest.(check int) "frames skipped" 1 l.Binfmt.lr_frames_skipped;
-        Alcotest.(check (option int)) "footer total" (Some total)
-          l.Binfmt.lr_total_events)
-    [ 0; frames / 2; frames - 1 ]
+    (fun (how, loses, damage) ->
+      List.iter
+        (fun k ->
+          let what = Printf.sprintf "%s, frame %d" how k in
+          match walk_lenient (damage (List.nth offsets k)) with
+          | Error e -> Alcotest.fail e
+          | Ok (kept, r) ->
+            let lost_from = k * frame_events in
+            let lost_to = if loses then min total ((k + 1) * frame_events) else lost_from in
+            Alcotest.(check (list (pair int int)))
+              (what ^ ": lost range")
+              (if loses then [ (lost_from, lost_to) ] else [])
+              (List.map (fun (l : Binfmt.lost_range) -> (l.lost_from, l.lost_to)) r.lost);
+            Alcotest.(check (list (pair int string))) (what ^ ": frames kept")
+              (if loses then List.filteri (fun i _ -> i <> k) frames else frames)
+              kept;
+            Alcotest.(check int) (what ^ ": frames skipped") 1 r.frames_skipped;
+            Alcotest.(check (option int)) (what ^ ": footer total") (Some total)
+              r.total_events)
+        [ 0; nframes / 2; nframes - 1 ])
+    damage
 
 let test_framed_lenient_truncation () =
-  let trace = Lazy.force framed_input in
-  let data = Binfmt.to_bytes_framed ~frame_events:1000 trace in
+  let frames = text_frames ~frame_events:200 (Lazy.force framed_input) in
+  let data = Lazy.force framed_data in
   (* Cut mid-way: the tail (and the footer) are gone, so the total is
      unknowable and the surviving prefix is whole frames only. *)
-  match Binfmt.read_lenient (Bytes.sub data 0 (Bytes.length data / 2)) with
+  match walk_lenient (Bytes.sub data 0 (Bytes.length data / 2)) with
   | Error e -> Alcotest.fail e
-  | Ok l ->
-    Alcotest.(check (option int)) "no footer" None l.Binfmt.lr_total_events;
-    Alcotest.(check int) "whole frames only" 0
-      (Trace.length l.Binfmt.lr_trace mod 1000);
-    Alcotest.(check bool) "something recovered" true
-      (Trace.length l.Binfmt.lr_trace > 0)
+  | Ok (kept, r) ->
+    Alcotest.(check (option int)) "no footer" None r.total_events;
+    Alcotest.(check bool) "something recovered" true (kept <> []);
+    Alcotest.(check (list (pair int string))) "a prefix of whole frames"
+      (List.filteri (fun i _ -> i < List.length kept) frames)
+      kept
 
 let test_binfmt_empty_file_message () =
   List.iter
     (fun data ->
-      match Binfmt.read data with
-      | Ok _ -> Alcotest.fail "accepted an empty/truncated input"
-      | Error e ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%S mentions truncation" e)
-          true
-          (let prefix = "empty or truncated file" in
-           String.length e >= String.length prefix
-           && String.sub e 0 (String.length prefix) = prefix))
-    [ Bytes.create 0; Bytes.of_string "PF" ]
+      let expected = Printf.sprintf "empty or truncated file (offset %d)" (String.length data) in
+      Alcotest.(check (result unit string)) (Printf.sprintf "%S" data) (Error expected)
+        (Result.map ignore (walk (Bytes.of_string data)));
+      Alcotest.(check (result unit string)) (Printf.sprintf "columnar %S" data)
+        (Error expected)
+        (Result.map ignore (Columnar.read (Bytes.of_string data))))
+    [ ""; "PF" ]
 
+(* Frames larger than a segment: segments never exceed their size, and
+   every frame boundary still cuts a segment. *)
 let test_stream_of_binary_file_frame_boundaries () =
   let trace = Lazy.force framed_input in
   let total = Trace.length trace in
-  let frame_events = 512 in
-  let path = Filename.temp_file "prefix_framed" ".bin" in
+  let frame_events = 512 and segment_events = 200 in
+  let path = Filename.temp_file "prefix_framed" ".pfxt" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Binfmt.write_file_framed ~frame_events path trace;
-      let stream = Stream.of_binary_file ~segment_events:frame_events path in
+      Columnar.write_file ~frame_events path (Packed.of_trace trace);
+      let stream = Stream.of_binary_file ~segment_events path in
       let seen = ref 0 in
       Stream.iter_segments stream (fun ~base seg ->
-          Alcotest.(check int) "segment starts on a frame boundary" 0
-            (base mod frame_events);
+          let n = Packed.length seg in
           Alcotest.(check int) "segment base is the running total" !seen base;
-          seen := !seen + Packed.length seg);
+          Alcotest.(check bool) "segment within its size" true (n <= segment_events);
+          Alcotest.(check bool) "no segment spans a frame boundary" true
+            (base / frame_events = (base + n - 1) / frame_events);
+          seen := !seen + n);
       Alcotest.(check int) "all events streamed" total !seen)
 
 let suite =
@@ -406,11 +461,11 @@ let suite =
         Alcotest.test_case "varint extremes" `Quick test_varint_extremes;
         QCheck_alcotest.to_alcotest prop_varint_roundtrip;
         Alcotest.test_case "events at int extremes" `Quick test_event_int_extremes ] );
+    (* The group keeps the name of the format that introduced the frame
+       envelope (v2); it now carries the columnar payload. *)
     ( "binfmt-v2",
       [ Alcotest.test_case "framed roundtrip, small frames" `Quick
           test_framed_roundtrip_small_frames;
-        Alcotest.test_case "v2 decodes identically to v1" `Quick
-          test_framed_matches_v1_decode;
         Alcotest.test_case "strict read rejects corruption" `Quick
           test_framed_strict_rejects_corruption;
         Alcotest.test_case "lenient read pins the exact lost range" `Quick
